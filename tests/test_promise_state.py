@@ -29,6 +29,8 @@ from promisekit.promise_state import (
 )
 from promisekit.task_algebra import GAMMA, all_bodies
 
+from sos_oracle import _intro_allowed
+
 
 @pytest.fixture(scope="module")
 def delegation_model():
@@ -259,3 +261,37 @@ class TestInvariantPreservation:
             elif pi_enabled(model, state, candidate):
                 state = introduce(model, state, candidate)
             assert is_conflict_free(model, state)
+
+
+class TestOracleAgreement:
+    MODEL = PromiseModel.create(
+        agents=("a", "b", "c"),
+        types=("t", "u"),
+        atoms={"x": "t", "y": "t", "z": "u"},
+        incompatible_pairs=[("x", "y")],
+        exclusive=("~x", "!y", "z"),
+    )
+    BODIES = all_bodies(MODEL.atoms)
+    PROMISE = st.builds(
+        lambda promiser, body, promisee: Promise(
+            TestOracleAgreement.MODEL.agent(promiser),
+            TestOracleAgreement.BODIES[body],
+            TestOracleAgreement.MODEL.agent(promisee),
+        ),
+        st.sampled_from("abc"),
+        st.integers(0, len(BODIES) - 1),
+        st.sampled_from("abc"),
+    )
+
+    @given(st.frozensets(PROMISE, max_size=10), PROMISE, st.booleans())
+    def test_enabledness_matches_the_oracle(self, held, candidate, strict):
+        # held states are arbitrary sets, conflict-free or not
+        model = self.MODEL.with_strict_conflicts(strict)
+        state = State(held)
+        enabled = _intro_allowed(model, held, candidate)
+        assert pi_enabled(model, state, candidate) == enabled
+        if enabled:
+            assert introduce(model, state, candidate) == State(held | {candidate})
+        else:
+            with pytest.raises(NotEnabled):
+                introduce(model, state, candidate)
