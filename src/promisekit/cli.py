@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .dsl import ParseError, Scenario, ValidationError, parse_scenario, parse_trace
@@ -25,11 +24,12 @@ from .explorer import (
     DEFAULT_TRACE_LIMIT,
     Accepted,
     LimitExceeded,
-    Outcome,
     build_lts,
     check_invariants,
+    final_outcome,
     find_deadlocks,
     maximal_traces,
+    transitions,
     verify_trace,
 )
 from .process_algebra import (
@@ -41,31 +41,17 @@ from .process_algebra import (
     Par,
     ProcessTerm,
     Seq,
-    can_terminate,
     event_promise,
-    step,
 )
 from .promise_state import obligation_warnings
 from .task_algebra import algebra_law_violations, incompatibility_law_violations
 
-__all__ = ["main", "CliConfig"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_LIMIT = 2
 EXIT_USAGE = 64
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    scenario_path: Path
-    trace_path: Path | None
-    strict_conflicts: bool
-    seed: int
-    node_limit: int
-    max_traces: int
-    format: str
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -75,6 +61,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> _ArgumentParser:
@@ -98,32 +90,30 @@ def _build_parser() -> _ArgumentParser:
         )
         if name == "run":
             p.add_argument("--seed", type=int, default=0, help="random-walk seed")
-        if name in ("explore", "run"):
-            p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-            p.add_argument("--max-traces", type=int, default=DEFAULT_TRACE_LIMIT)
+        if name == "explore":
+            p.add_argument("--node-limit", type=_positive_int, default=DEFAULT_NODE_LIMIT)
+            p.add_argument("--max-traces", type=_positive_int, default=DEFAULT_TRACE_LIMIT)
         p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
-def _load_scenario(config: CliConfig) -> Scenario | None:
+def _read(path: Path) -> str | None:
     try:
-        text = config.scenario_path.read_text(encoding="utf-8")
-    except OSError as err:
-        print(f"error: cannot read {config.scenario_path}: {err}", file=sys.stderr)
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        print(f"error: cannot read {path}: {err}", file=sys.stderr)
+        return None
+
+
+def _load_scenario(args: argparse.Namespace) -> Scenario | None:
+    text = _read(args.scenario)
+    if text is None:
         return None
     try:
-        scenario = parse_scenario(text)
+        return parse_scenario(text, strict_conflicts=args.strict_conflicts)
     except (ParseError, ValidationError) as err:
-        print(f"error: {config.scenario_path}: {err}", file=sys.stderr)
+        print(f"error: {args.scenario}: {err}", file=sys.stderr)
         return None
-    if config.strict_conflicts:
-        scenario = Scenario(
-            model=scenario.model.with_strict_conflicts(),
-            definitions=scenario.definitions,
-            entry=scenario.entry,
-            initial_state=scenario.initial_state,
-        )
-    return scenario
 
 
 def _generalized_events(term: ProcessTerm):
@@ -137,15 +127,15 @@ def _generalized_events(term: ProcessTerm):
         yield from _generalized_events(term.body)
 
 
-def _emit(config: CliConfig, text_lines: list[str], payload: dict) -> None:
-    if config.format == "json":
+def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(text_lines))
 
 
-def cmd_check(config: CliConfig) -> int:
-    scenario = _load_scenario(config)
+def cmd_check(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
     if scenario is None:
         return EXIT_FAILURE
     model = scenario.model
@@ -164,7 +154,7 @@ def cmd_check(config: CliConfig) -> int:
 
     status = "ok" if not violations else "failed"
     lines = [
-        f"scenario: {config.scenario_path}",
+        f"scenario: {args.scenario}",
         f"agents: {len(model.agents)}",
         f"atoms: {len(model.atoms)}",
         f"task bodies: {4 * len(model.atoms)}",
@@ -177,10 +167,10 @@ def cmd_check(config: CliConfig) -> int:
     lines += [f"  {w}" for w in warnings]
     lines.append(status)
     _emit(
-        config,
+        args,
         lines,
         {
-            "scenario": str(config.scenario_path),
+            "scenario": str(args.scenario),
             "agents": len(model.agents),
             "atoms": len(model.atoms),
             "bodies": 4 * len(model.atoms),
@@ -194,14 +184,14 @@ def cmd_check(config: CliConfig) -> int:
     return EXIT_OK if not violations else EXIT_FAILURE
 
 
-def cmd_explore(config: CliConfig) -> int:
-    scenario = _load_scenario(config)
+def cmd_explore(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
     if scenario is None:
         return EXIT_FAILURE
     initial = Configuration(scenario.entry, scenario.initial_state)
     try:
-        lts = build_lts(scenario.model, initial, node_limit=config.node_limit)
-        traces = maximal_traces(lts, max_traces=config.max_traces)
+        lts = build_lts(scenario.model, initial, node_limit=args.node_limit)
+        traces = maximal_traces(lts, max_traces=args.max_traces)
     except LimitExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_LIMIT
@@ -221,7 +211,7 @@ def cmd_explore(config: CliConfig) -> int:
     lines.append(f"violations: {len(violations)}")
     lines += [f"  {v}" for v in violations]
     _emit(
-        config,
+        args,
         lines,
         {
             "nodes": len(lts.nodes),
@@ -242,32 +232,26 @@ def cmd_explore(config: CliConfig) -> int:
     return EXIT_OK if not violations else EXIT_FAILURE
 
 
-def cmd_run(config: CliConfig) -> int:
-    scenario = _load_scenario(config)
+def cmd_run(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
     if scenario is None:
         return EXIT_FAILURE
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     current = Configuration(scenario.entry, scenario.initial_state)
     events = []
-    while True:
-        transitions = sorted(
-            step(scenario.model, current),
-            key=lambda tr: (str(tr[0]), str(tr[1].term), str(tr[1].state)),
-        )
-        if not transitions:
-            break
-        event, current = rng.choice(transitions)
+    while moves := transitions(scenario.model, current):
+        event, current = rng.choice(moves)
         events.append(event)
-    outcome = Outcome.SUCCESSFUL if can_terminate(current.term) else Outcome.DEADLOCKED
+    outcome = final_outcome(current)
 
     lines = [str(event) for event in events]
     lines.append(f"outcome: {outcome}")
     lines.append(f"final state: {current.state}")
     _emit(
-        config,
+        args,
         lines,
         {
-            "seed": config.seed,
+            "seed": args.seed,
             "events": [str(e) for e in events],
             "outcome": str(outcome),
             "final_state": sorted(str(p) for p in current.state),
@@ -276,18 +260,17 @@ def cmd_run(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify_trace(config: CliConfig) -> int:
-    scenario = _load_scenario(config)
+def cmd_verify_trace(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
     if scenario is None:
         return EXIT_FAILURE
-    try:
-        trace_text = config.trace_path.read_text(encoding="utf-8")
-        events = parse_trace(trace_text, scenario.model)
-    except OSError as err:
-        print(f"error: cannot read {config.trace_path}: {err}", file=sys.stderr)
+    trace_text = _read(args.trace)
+    if trace_text is None:
         return EXIT_FAILURE
+    try:
+        events = parse_trace(trace_text, scenario.model)
     except (ParseError, ValidationError) as err:
-        print(f"error: {config.trace_path}: {err}", file=sys.stderr)
+        print(f"error: {args.trace}: {err}", file=sys.stderr)
         return EXIT_FAILURE
 
     initial = Configuration(scenario.entry, scenario.initial_state)
@@ -300,7 +283,7 @@ def cmd_verify_trace(config: CliConfig) -> int:
             f"final state: {verdict.final_state}",
         ]
         _emit(
-            config,
+            args,
             lines,
             {
                 "verdict": "accepted",
@@ -317,7 +300,7 @@ def cmd_verify_trace(config: CliConfig) -> int:
     lines += [f"  {event}" for event in verdict.available]
     lines.append(f"state: {verdict.state}")
     _emit(
-        config,
+        args,
         lines,
         {
             "verdict": "rejected",
@@ -332,24 +315,14 @@ def cmd_verify_trace(config: CliConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = CliConfig(
-        command=args.command,
-        scenario_path=args.scenario,
-        trace_path=getattr(args, "trace", None),
-        strict_conflicts=args.strict_conflicts,
-        seed=getattr(args, "seed", 0),
-        node_limit=getattr(args, "node_limit", DEFAULT_NODE_LIMIT),
-        max_traces=getattr(args, "max_traces", DEFAULT_TRACE_LIMIT),
-        format=args.format,
-    )
     command = {
         "check": cmd_check,
         "explore": cmd_explore,
         "run": cmd_run,
         "verify-trace": cmd_verify_trace,
-    }[config.command]
+    }[args.command]
     try:
-        return command(config)
+        return command(args)
     except BrokenPipeError:
         # downstream closed the pipe (e.g. | head); avoid a traceback and
         # the secondary error from the interpreter's exit-time flush

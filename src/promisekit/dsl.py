@@ -30,7 +30,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .explorer import Trace
 from .process_algebra import (
     Act,
     AgentVar,
@@ -225,8 +224,9 @@ def _check_declarable(name: str, what: str, line: int) -> None:
         raise ValidationError(f"line {line}: {what} name {name!r} is reserved")
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario file."""
+def parse_scenario(text: str, strict_conflicts: bool = False) -> Scenario:
+    """Parse and validate a scenario file. The conflict mode is fixed here
+    so that ``init`` is validated under the mode the scenario runs in."""
     agents: list[str] = []
     types: list[str] = []
     atoms: dict[str, str] = {}
@@ -305,6 +305,7 @@ def parse_scenario(text: str) -> Scenario:
             subordination=subordination,
             incompatible_pairs=[(x, y) for _, x, y in incompat],
             exclusive=[body for _, body in exclusive],
+            strict_conflicts=strict_conflicts,
         )
     except (ModelError, IncompatibilityError, UnknownAtom) as err:
         raise ValidationError(str(err)) from err
@@ -618,9 +619,6 @@ def render(value) -> str:
     """Canonical text for scenarios, terms, promises, traces and states."""
     if isinstance(value, Scenario):
         return _render_scenario(value)
-    if isinstance(value, (Trace, State, Promise, TaskBody)):
-        return str(value)
-    # process terms, events and conditions all render via __str__
     return str(value)
 
 

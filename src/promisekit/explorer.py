@@ -21,12 +21,7 @@ from .process_algebra import (
     can_terminate,
     step,
 )
-from .promise_state import (
-    PromiseModel,
-    State,
-    exclusiveness_breaches,
-)
-from .task_algebra import incompatible
+from .promise_state import PromiseModel, State, state_clashes
 
 __all__ = [
     "Lts",
@@ -36,6 +31,8 @@ __all__ = [
     "Rejected",
     "Violation",
     "LimitExceeded",
+    "transitions",
+    "final_outcome",
     "build_lts",
     "maximal_traces",
     "verify_trace",
@@ -59,8 +56,10 @@ class LimitExceeded(Exception):
         self.partial = partial
 
 
-def _config_key(config: Configuration) -> tuple[str, str]:
-    return (str(config.term), str(config.state))
+def transitions(model: PromiseModel, config: Configuration) -> list[tuple[Event, Configuration]]:
+    """The one-step transitions of a configuration in the order every
+    report uses: by rendered event, then successor term, then state."""
+    return sorted(step(model, config), key=lambda tr: (str(tr[0]), str(tr[1].term), str(tr[1].state)))
 
 
 class Lts:
@@ -112,10 +111,7 @@ def build_lts(
     truncated = False
     while queue:
         config = queue.popleft()
-        transitions = sorted(
-            step(model, config), key=lambda tr: (str(tr[0]), _config_key(tr[1]))
-        )
-        for event, successor in transitions:
+        for event, successor in transitions(model, config):
             edges.append((config, event, successor))
             if successor not in seen:
                 if len(seen) >= node_limit:
@@ -150,8 +146,12 @@ class Trace:
         return "\n".join(str(event) for event in self.events)
 
 
-def _final_outcome(config: Configuration) -> Outcome:
-    return Outcome.SUCCESSFUL if can_terminate(config.term) else Outcome.DEADLOCKED
+def final_outcome(*configs: Configuration) -> Outcome:
+    """How a run ends that stopped in any of ``configs``: successful when
+    one of them can terminate, deadlocked otherwise."""
+    if any(can_terminate(config.term) for config in configs):
+        return Outcome.SUCCESSFUL
+    return Outcome.DEADLOCKED
 
 
 def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trace]:
@@ -161,25 +161,27 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     one trace. The result is sorted by rendered events, then outcome.
     """
     collected: set[tuple[tuple[str, ...], Trace]] = set()
-
-    def walk(config: Configuration, prefix: tuple[Event, ...]) -> None:
-        transitions = lts.outgoing(config)
-        if not transitions:
-            trace = Trace(prefix, _final_outcome(config))
-            collected.add((tuple(str(e) for e in prefix), trace))
-            if len(collected) > max_traces:
-                raise LimitExceeded(
-                    "trace", max_traces, partial=[t for _, t in sorted(collected, key=_trace_key)]
-                )
-            return
-        for event, successor in transitions:
-            walk(successor, prefix + (event,))
-
-    def _trace_key(item: tuple[tuple[str, ...], Trace]):
-        return (item[0], item[1].outcome.value)
-
-    walk(lts.initial, ())
+    _walk(lts, lts.initial, (), collected, max_traces)
     return [trace for _, trace in sorted(collected, key=_trace_key)]
+
+
+# A module-level function, not a closure: a recursive closure is a
+# reference cycle that would keep the whole LTS alive until the next full
+# garbage collection.
+def _walk(lts: Lts, config: Configuration, prefix: tuple[Event, ...], collected: set, max_traces: int) -> None:
+    outgoing = lts.outgoing(config)
+    if not outgoing:
+        collected.add((tuple(str(e) for e in prefix), Trace(prefix, final_outcome(config))))
+        if len(collected) > max_traces:
+            partial = [t for _, t in sorted(collected, key=_trace_key)]
+            raise LimitExceeded("trace", max_traces, partial=partial)
+        return
+    for event, successor in outgoing:
+        _walk(lts, successor, prefix + (event,), collected, max_traces)
+
+
+def _trace_key(item: tuple[tuple[str, ...], Trace]) -> tuple[tuple[str, ...], str]:
+    return (item[0], item[1].outcome.value)
 
 
 @dataclass(frozen=True)
@@ -242,17 +244,13 @@ def verify_trace(
     terminal = [config for config in current if not step(model, config)]
     if not terminal:
         return Accepted(final_state=final_state, maximal=False, outcome=None)
-    if any(can_terminate(config.term) for config in terminal):
-        outcome = Outcome.SUCCESSFUL
-    else:
-        outcome = Outcome.DEADLOCKED
-    return Accepted(final_state=final_state, maximal=True, outcome=outcome)
+    return Accepted(final_state=final_state, maximal=True, outcome=final_outcome(*terminal))
 
 
 @dataclass(frozen=True)
 class Violation:
-    """A reachable state breaking an invariant; ``kind`` is 'conflict' or
-    'exclusiveness'."""
+    """Two promises of a reachable state that clash; ``kind`` is the
+    reason, 'conflict' or 'exclusiveness'."""
 
     kind: str
     config: Configuration
@@ -263,37 +261,16 @@ class Violation:
 
 
 def check_invariants(model: PromiseModel, lts: Lts) -> list[Violation]:
-    """Check every reachable state for dyadic conflicts and for exclusive
-    bodies promised to more than one counterparty. Expected empty for any
-    system reached through enabled speech acts."""
-    violations: list[Violation] = []
-    for node in lts.nodes:
-        promises = sorted(node.state, key=str)
-        for i, p in enumerate(promises):
-            for q in promises[i + 1 :]:
-                if (
-                    p.promiser == q.promiser
-                    and p.promisee == q.promisee
-                    and incompatible(model.incompatibility, p.body, q.body)
-                ):
-                    violations.append(
-                        Violation("conflict", node, f"{p} conflicts with {q}")
-                    )
-        for promiser, body in exclusiveness_breaches(model, node.state):
-            violations.append(
-                Violation(
-                    "exclusiveness",
-                    node,
-                    f"{promiser} promises exclusive {body} to several agents",
-                )
-            )
-    return violations
+    """Every pair of promises that clash (see ``promise_state.clash``) in
+    every reachable state, under the model's conflict mode. Expected empty
+    for any system reached through enabled speech acts."""
+    return [
+        Violation(reason, node, f"{p} and {q}")
+        for node in lts.nodes
+        for reason, p, q in state_clashes(model, node.state)
+    ]
 
 
 def find_deadlocks(lts: Lts) -> list[Configuration]:
     """Terminal configurations that cannot terminate successfully."""
-    return [
-        node
-        for node in lts.terminal_nodes()
-        if not can_terminate(node.term)
-    ]
+    return [node for node in lts.terminal_nodes() if final_outcome(node) is Outcome.DEADLOCKED]

@@ -20,14 +20,11 @@ from .promise_state import (
     Promise,
     PromiseModel,
     State,
-    introduce,
-    introduce_generalized,
-    pi_enabled,
     pw_enabled,
+    try_introduce,
     withdraw,
 )
 from .task_algebra import (
-    GAMMA,
     TaskBody,
     is_exclusive,
     is_positive,
@@ -470,22 +467,16 @@ def can_terminate(term: ProcessTerm) -> bool:
 
 def _act_transitions(model: PromiseModel, event: Event, state: State) -> set[tuple[Event, Configuration]]:
     if isinstance(event, IntroduceEvent):
-        promise = Promise(event.promiser, event.body, event.promisee)
-        if not pi_enabled(model, state, promise):
-            return set()
-        return {(event, Configuration(DONE, introduce(model, state, promise)))}
-    if isinstance(event, WithdrawEvent):
-        promise = Promise(event.promiser, event.body, event.promisee)
-        if not pw_enabled(state, promise):
-            return set()
-        return {(event, Configuration(DONE, withdraw(state, promise)))}
-    if isinstance(event, GeneralizedIntroduceEvent):
+        after = try_introduce(model, state, event_promise(event))
+    elif isinstance(event, WithdrawEvent):
+        promise = event_promise(event)
+        after = withdraw(state, promise) if pw_enabled(state, promise) else None
+    elif isinstance(event, GeneralizedIntroduceEvent):
         gp = event_promise(event)
-        compliance = Promise(gp.performer, GAMMA, gp.promiser)
-        if compliance not in state or not pi_enabled(model, state, gp.induced()):
-            return set()
-        return {(event, Configuration(DONE, introduce_generalized(model, state, gp)))}
-    raise TypeError(f"not an event: {event!r}")
+        after = try_introduce(model, state, gp.induced()) if gp.compliance() in state else None
+    else:
+        raise TypeError(f"not an event: {event!r}")
+    return set() if after is None else {(event, Configuration(DONE, after))}
 
 
 def step(model: PromiseModel, config: Configuration) -> set[tuple[Event, Configuration]]:

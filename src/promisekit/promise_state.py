@@ -1,8 +1,9 @@
 """Promises, states, and the speech acts that move between states.
 
-A state is a set of basic promises ``a:x->b`` that is conflict-free: an
-agent never holds incompatible bodies toward the same counterparty.
-Introduction adds a promise when it is enabled, withdrawal removes a
+A state is a set of basic promises ``a:x->b`` no two of which clash (see
+``clash``): an agent never holds incompatible bodies toward the same
+counterparty, nor an exclusive body toward two. Introduction adds a
+promise when it clashes with nothing in the state, withdrawal removes a
 present one. Delegated promises (``a[c]:x->b[d]``) are never stored; when
 the performer has promised compliance to the promiser they immediately
 induce the basic promise ``c:x->d``.
@@ -44,15 +45,17 @@ __all__ = [
     "State",
     "EMPTY_STATE",
     "ObligationWarning",
+    "clash",
     "pi_enabled",
+    "try_introduce",
     "introduce",
     "pw_enabled",
     "withdraw",
     "has_promise",
     "introduce_generalized",
     "obligation_warnings",
+    "state_clashes",
     "is_conflict_free",
-    "exclusiveness_breaches",
     "ModelError",
     "SubordinationCycle",
     "TransitionError",
@@ -259,6 +262,10 @@ class GeneralizedPromise:
         """The basic promise the compliance rule produces."""
         return Promise(self.performer, self.body, self.beneficiary)
 
+    def compliance(self) -> Promise:
+        """The promise that makes the delegation binding on the performer."""
+        return Promise(self.performer, GAMMA, self.promiser)
+
     def __str__(self) -> str:
         return (
             f"{self.promiser}[{self.performer}]:{self.body}"
@@ -310,58 +317,50 @@ class NoCompliance(TransitionError):
     """Delegated introduction without the performer's compliance promise."""
 
 
-def _conflicting(model: PromiseModel, state: State, promise: Promise) -> Promise | None:
-    """First established promise whose body clashes with the candidate.
+def clash(model: PromiseModel, p: Promise, q: Promise) -> str | None:
+    """Why one agent cannot hold both promises at once, or None.
 
-    Default mode scans the (promiser, promisee) dyad; strict mode scans
-    everything the promiser has outstanding.
+    ``'conflict'``: the bodies are incompatible and the promisees share the
+    conflict mode's scope (the same promisee, or any promisee in strict
+    mode). ``'exclusiveness'``: an exclusive body goes to two different
+    promisees. Symmetric in ``p`` and ``q``.
     """
-    candidates = [
-        p
-        for p in state
-        if p.promiser == promise.promiser
-        and (model.strict_conflicts or p.promisee == promise.promisee)
-    ]
-    for p in sorted(candidates, key=str):
-        if incompatible(model.incompatibility, promise.body, p.body):
-            return p
-    return None
-
-
-def _exclusiveness_block(model: PromiseModel, state: State, promise: Promise) -> Promise | None:
-    """A same-body promise to a different counterparty, if the body is
-    exclusive."""
-    if not is_exclusive(model.exclusiveness, promise.body):
+    if p.promiser != q.promiser:
         return None
-    for p in sorted((p for p in state), key=str):
-        if (
-            p.promiser == promise.promiser
-            and p.body == promise.body
-            and p.promisee != promise.promisee
-        ):
-            return p
+    if (model.strict_conflicts or p.promisee == q.promisee) and incompatible(
+        model.incompatibility, p.body, q.body
+    ):
+        return "conflict"
+    if p.body == q.body and p.promisee != q.promisee and is_exclusive(model.exclusiveness, p.body):
+        return "exclusiveness"
     return None
 
 
 def pi_enabled(model: PromiseModel, state: State, promise: Promise) -> bool:
-    """True iff introducing the promise keeps the state conflict-free and
-    respects exclusiveness."""
-    return (
-        _conflicting(model, state, promise) is None
-        and _exclusiveness_block(model, state, promise) is None
-    )
+    """True iff the promise clashes with nothing in the state."""
+    return not any(clash(model, promise, p) for p in state)
+
+
+def try_introduce(model: PromiseModel, state: State, promise: Promise) -> State | None:
+    """The state with the promise added, or None when it is not enabled."""
+    if pi_enabled(model, state, promise):
+        return State(state.promises | {promise})
+    return None
 
 
 def introduce(model: PromiseModel, state: State, promise: Promise) -> State:
     """Add the promise to the state. Idempotent when already present;
-    raises NotEnabled otherwise when the introduction premise fails."""
-    clash = _conflicting(model, state, promise)
-    if clash is not None:
-        raise NotEnabled(promise, "conflict", clash)
-    blocked = _exclusiveness_block(model, state, promise)
-    if blocked is not None:
-        raise NotEnabled(promise, "exclusiveness", blocked)
-    return State(state.promises | {promise})
+    raises NotEnabled otherwise when the introduction premise fails, naming
+    the first clash: conflicts before exclusiveness, then by rendered
+    blocking promise."""
+    after = try_introduce(model, state, promise)
+    if after is None:
+        reason, blocking = min(
+            ((why, p) for p in state if (why := clash(model, promise, p))),
+            key=lambda found: (found[0], str(found[1])),
+        )
+        raise NotEnabled(promise, reason, blocking)
+    return after
 
 
 def pw_enabled(state: State, promise: Promise) -> bool:
@@ -387,8 +386,7 @@ def introduce_generalized(model: PromiseModel, state: State, gp: GeneralizedProm
     The compliance promise stays in the state; the induced introduction is
     subject to the ordinary enabledness checks.
     """
-    compliance = Promise(gp.performer, GAMMA, gp.promiser)
-    if compliance not in state:
+    if gp.compliance() not in state:
         raise NoCompliance(f"{gp.performer} has not promised compliance to {gp.promiser}")
     return introduce(model, state, gp.induced())
 
@@ -415,29 +413,23 @@ def obligation_warnings(model: PromiseModel, gp: GeneralizedPromise) -> list[Obl
     return []
 
 
-def is_conflict_free(model: PromiseModel, state: State) -> bool:
-    """The state invariant: no two promises within one (promiser, promisee)
-    dyad have incompatible bodies."""
-    promises = tuple(state)
-    for i, p in enumerate(promises):
-        for q in promises[i + 1 :]:
-            if (
-                p.promiser == q.promiser
-                and p.promisee == q.promisee
-                and incompatible(model.incompatibility, p.body, q.body)
-            ):
-                return False
-    return True
-
-
-def exclusiveness_breaches(model: PromiseModel, state: State) -> list[tuple[Agent, TaskBody]]:
-    """(promiser, body) pairs where an exclusive body is promised to more
-    than one counterparty. Unreachable via enabled introductions."""
-    seen: dict[tuple[Agent, TaskBody], set[Agent]] = {}
+def state_clashes(model: PromiseModel, state: State) -> list[tuple[str, Promise, Promise]]:
+    """Every pair of promises in the state that clash, as (reason, first,
+    second) with each pair and the list in rendered order. Empty for any
+    state reached through enabled introductions."""
+    by_promiser: dict[Agent, list[Promise]] = {}
     for p in state:
-        if is_exclusive(model.exclusiveness, p.body):
-            seen.setdefault((p.promiser, p.body), set()).add(p.promisee)
-    return sorted(
-        (key for key, promisees in seen.items() if len(promisees) > 1),
-        key=lambda key: (key[0].name, str(key[1])),
-    )
+        by_promiser.setdefault(p.promiser, []).append(p)
+    found = []
+    for promises in by_promiser.values():
+        for i, p in enumerate(promises):
+            for q in promises[i + 1 :]:
+                reason = clash(model, p, q)
+                if reason:
+                    found.append((reason, *sorted((p, q), key=str)))
+    return sorted(found, key=lambda c: (c[0], str(c[1]), str(c[2])))
+
+
+def is_conflict_free(model: PromiseModel, state: State) -> bool:
+    """The state invariant: no two promises clash."""
+    return not state_clashes(model, state)

@@ -15,7 +15,7 @@ that cannot be promised by one agent to two counterparties at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -71,11 +71,21 @@ class TaskAtom:
 
 @dataclass(frozen=True, slots=True)
 class TaskBody:
-    """Normal form of a task body: atom plus usage and negation parities."""
+    """Normal form of a task body: atom plus usage and negation parities.
+
+    The hash is computed once: every incompatibility lookup, and every
+    promise in a state, hashes its body again otherwise."""
 
     atom: TaskAtom
     usage: bool = False
     negated: bool = False
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.atom, self.usage, self.negated)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return ("!" if self.negated else "") + ("~" if self.usage else "") + self.atom.name

@@ -60,6 +60,25 @@ class TestCheck:
         assert code == 1
         assert "cannot read" in err
 
+    def test_non_utf8_scenario(self, tmp_path):
+        scenario = tmp_path / "latin1.promise"
+        scenario.write_bytes("agent jos\xe9\nrun delta\n".encode("latin-1"))
+        code, out, err = run_cli(["check", str(scenario)])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "cannot read" in err
+
+    def test_strict_mode_validates_init(self, tmp_path):
+        scenario = tmp_path / "split.promise"
+        scenario.write_text(
+            "agent a b c\ntype t\ntask x : t\ninit pi(a, x, b), pi(a, !x, c)\nrun delta\n"
+        )
+        assert run_cli(["explore", str(scenario)])[0] == 0
+        code, out, err = run_cli(["explore", str(scenario), "--strict-conflicts"])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "invalid initial state" in err
+
     def test_json_report(self):
         code, out, _ = run_cli(["check", JUB, "--format", "json"])
         assert code == 0
@@ -160,6 +179,14 @@ class TestVerifyTrace:
         assert "maximal: no" in out
         assert "outcome: incomplete" in out
 
+    def test_non_utf8_trace(self, tmp_path):
+        trace_file = tmp_path / "latin1.txt"
+        trace_file.write_bytes(b"pi(ja, tbc2JUB, ma) # \xe9\n")
+        code, out, err = run_cli(["verify-trace", JUB, "--trace", str(trace_file)])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "cannot read" in err
+
     def test_bad_first_event_rejected_at_zero(self, tmp_path):
         trace_file = tmp_path / "bad.txt"
         trace_file.write_text("pw(ja, tbc2JUB, ma)\n")
@@ -195,3 +222,26 @@ class TestUsage:
         code, _, err = run_cli(argv)
         assert code == 64
         assert err != ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explore", JUB, "--node-limit", "0"],
+            ["explore", JUB, "--node-limit", "-1"],
+            ["explore", JUB, "--max-traces", "0"],
+            ["explore", JUB, "--max-traces", "-5"],
+            ["explore", JUB, "--node-limit", "ten"],
+        ],
+    )
+    def test_non_positive_limits_are_usage_errors(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 64
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"promise explore: error: argument {argv[2]}:")
+
+    @pytest.mark.parametrize("flag", ["--node-limit", "--max-traces"])
+    def test_run_takes_no_limits(self, flag):
+        code, _, err = run_cli(["run", JUB, flag, "1"])
+        assert code == 64
+        assert "unrecognized arguments" in err

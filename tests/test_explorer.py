@@ -7,6 +7,8 @@ recursive enumerator in sos_oracle.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from promisekit.corpus import corpus_text
@@ -122,6 +124,14 @@ class TestMaximalTraces:
     def test_trace_limit(self, ride_lts):
         with pytest.raises(LimitExceeded):
             maximal_traces(ride_lts, max_traces=10)
+
+    def test_enumeration_does_not_keep_the_lts_alive(self, ride):
+        # freed by reference counting alone, without a garbage collection
+        lts = build_lts(ride.model, Configuration(ride.entry, ride.initial_state))
+        maximal_traces(lts)
+        alive = weakref.ref(lts)
+        del lts
+        assert alive() is None
 
     def test_every_trace_replays(self, ride, ride_lts, ride_traces):
         initial = Configuration(ride.entry, ride.initial_state)
@@ -268,6 +278,23 @@ class TestInvariantsAndDeadlocks:
         violations = check_invariants(ride_model, lts)
         assert len(violations) == 1
         assert violations[0].kind == "conflict"
+
+    def test_strict_mode_flags_a_cross_promisee_conflict(self, ride_model):
+        bad = Configuration(
+            DONE,
+            State(
+                frozenset(
+                    {
+                        ride_model.promise("ma", "~tbc2JUB", "ja"),
+                        ride_model.promise("ma", "!~tbc2JUB", "ju"),
+                    }
+                )
+            ),
+        )
+        lts = Lts(bad, (bad,), ())
+        assert check_invariants(ride_model, lts) == []
+        violations = check_invariants(ride_model.with_strict_conflicts(), lts)
+        assert [v.kind for v in violations] == ["conflict"]
 
     def test_failed_guard_deadlocks(self, ride_model):
         event = IntroduceEvent(ride_model.agent("ja"), ride_model.body("tbc2JUB"), ride_model.agent("ma"))
