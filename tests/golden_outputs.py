@@ -15,8 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 from pathlib import Path
+
+from helpers import run_cli
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -49,15 +50,12 @@ def cases() -> list[list[str]]:
 def observe(argv: list[str]) -> dict:
     """Exit code, stdout digest and stdout length of one in-process run
     from the repository root."""
-    from helpers import run_cli
-
     code, out, _ = run_cli(argv)
     data = out.encode("utf-8")
     return {"exit": code, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(TESTS))
     os.chdir(ROOT)
     recorded = {" ".join(argv): observe(argv) for argv in cases()}
     OUTPUTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -263,30 +263,26 @@ class TestInvariantPreservation:
             assert is_conflict_free(model, state)
 
 
-class TestOracleAgreement:
-    MODEL = PromiseModel.create(
-        agents=("a", "b", "c"),
-        types=("t", "u"),
-        atoms={"x": "t", "y": "t", "z": "u"},
-        incompatible_pairs=[("x", "y")],
-        exclusive=("~x", "!y", "z"),
-    )
-    BODIES = all_bodies(MODEL.atoms)
-    PROMISE = st.builds(
-        lambda promiser, body, promisee: Promise(
-            TestOracleAgreement.MODEL.agent(promiser),
-            TestOracleAgreement.BODIES[body],
-            TestOracleAgreement.MODEL.agent(promisee),
-        ),
-        st.sampled_from("abc"),
-        st.integers(0, len(BODIES) - 1),
-        st.sampled_from("abc"),
-    )
+ORACLE_MODEL = PromiseModel.create(
+    agents=("a", "b", "c"),
+    types=("t", "u"),
+    atoms={"x": "t", "y": "t", "z": "u"},
+    incompatible_pairs=[("x", "y")],
+    exclusive=("~x", "!y", "z"),
+)
+ORACLE_PROMISES = st.builds(
+    Promise,
+    st.sampled_from(ORACLE_MODEL.agents),
+    st.sampled_from(all_bodies(ORACLE_MODEL.atoms)),
+    st.sampled_from(ORACLE_MODEL.agents),
+)
 
-    @given(st.frozensets(PROMISE, max_size=10), PROMISE, st.booleans())
+
+class TestOracleAgreement:
+    @given(st.frozensets(ORACLE_PROMISES, max_size=10), ORACLE_PROMISES, st.booleans())
     def test_enabledness_matches_the_oracle(self, held, candidate, strict):
         # held states are arbitrary sets, conflict-free or not
-        model = self.MODEL.with_strict_conflicts(strict)
+        model = ORACLE_MODEL.with_strict_conflicts(strict)
         state = State(held)
         enabled = _intro_allowed(model, held, candidate)
         assert pi_enabled(model, state, candidate) == enabled
