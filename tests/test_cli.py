@@ -233,7 +233,7 @@ class TestUsage:
             ["explore", JUB, "--node-limit", "ten"],
         ],
     )
-    def test_non_positive_limits_are_usage_errors(self, argv):
+    def test_limits_must_be_positive_integers(self, argv):
         code, out, err = run_cli(argv)
         assert code == 64
         assert out == ""
