@@ -1,6 +1,6 @@
 """Golden command-line outputs: the exit code and the stdout digest of
-every subcommand on the bundled corpus, in both output formats and both
-conflict modes.
+every subcommand on the bundled corpus and on two deep scenarios, in both
+output formats and both conflict modes.
 
     PYTHONPATH=src python tests/golden_outputs.py   # rewrites golden/outputs.json
 
@@ -24,21 +24,27 @@ ROOT = TESTS.parent
 OUTPUTS = TESTS / "golden" / "outputs.json"
 
 CORPUS = "src/promisekit/corpus"
-TRACES = {
-    "jub": f"{CORPUS}/jub_trace.txt",
-    # the seed-0 walks of `promise run`
-    "isp": "tests/golden/isp_walk.txt",
-    "laws": "tests/golden/laws_walk.txt",
-}
+GOLDEN = "tests/golden"
 SEEDS = (0, 1, 2, 3, 7, 42)
+# scenario file, trace file, `promise run` seeds
+SCENARIOS = (
+    (f"{CORPUS}/jub.promise", f"{CORPUS}/jub_trace.txt", SEEDS),
+    # the seed-0 walks of `promise run`
+    (f"{CORPUS}/isp.promise", f"{GOLDEN}/isp_walk.txt", SEEDS),
+    (f"{CORPUS}/laws.promise", f"{GOLDEN}/laws_walk.txt", SEEDS),
+    # deep terms: a 200-event sequence, whose only walk every seed takes,
+    # and a mix of all operators with deadlocks, replaying its longest
+    # successful trace (rejected under strict conflicts)
+    (f"{GOLDEN}/deep_sequential.promise", f"{GOLDEN}/deep_sequential_trace.txt", (0,)),
+    (f"{GOLDEN}/deep_mixed.promise", f"{GOLDEN}/deep_mixed_trace.txt", SEEDS),
+)
 
 
 def cases() -> list[list[str]]:
     out = []
-    for name, trace in TRACES.items():
-        scenario = f"{CORPUS}/{name}.promise"
+    for scenario, trace, seeds in SCENARIOS:
         commands = [["check", scenario], ["explore", scenario]]
-        commands += [["run", scenario, "--seed", str(seed)] for seed in SEEDS]
+        commands += [["run", scenario, "--seed", str(seed)] for seed in seeds]
         commands.append(["verify-trace", scenario, "--trace", trace])
         for command in commands:
             for fmt in ("text", "json"):
