@@ -117,14 +117,16 @@ def _load_scenario(args: argparse.Namespace) -> Scenario | None:
 
 
 def _generalized_events(term: ProcessTerm):
-    if isinstance(term, Act):
-        if isinstance(term.event, GeneralizedIntroduceEvent):
-            yield term.event
-    elif isinstance(term, (Seq, Alt, Par)):
-        yield from _generalized_events(term.left)
-        yield from _generalized_events(term.right)
-    elif isinstance(term, Guard):
-        yield from _generalized_events(term.body)
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        if isinstance(term, Act):
+            if isinstance(term.event, GeneralizedIntroduceEvent):
+                yield term.event
+        elif isinstance(term, (Seq, Alt, Par)):
+            stack += (term.right, term.left)
+        elif isinstance(term, Guard):
+            stack.append(term.body)
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:

@@ -59,7 +59,10 @@ class LimitExceeded(Exception):
 def transitions(model: PromiseModel, config: Configuration) -> list[tuple[Event, Configuration]]:
     """The one-step transitions of a configuration in the order every
     report uses: by rendered event, then successor term, then state."""
-    return sorted(step(model, config), key=lambda tr: (str(tr[0]), str(tr[1].term), str(tr[1].state)))
+    moves = list(step(model, config))
+    if len(moves) > 1:
+        moves.sort(key=lambda tr: (str(tr[0]), str(tr[1].term), str(tr[1].state)))
+    return moves
 
 
 class Lts:
@@ -161,23 +164,20 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     one trace. The result is sorted by rendered events, then outcome.
     """
     collected: set[tuple[tuple[str, ...], Trace]] = set()
-    _walk(lts, lts.initial, (), collected, max_traces)
+    # depth first, in outgoing order, with a stack instead of recursion so
+    # that no recursion limit bounds the trace length
+    stack: list[tuple[Configuration, tuple[Event, ...]]] = [(lts.initial, ())]
+    while stack:
+        config, prefix = stack.pop()
+        outgoing = lts.outgoing(config)
+        if not outgoing:
+            collected.add((tuple(str(e) for e in prefix), Trace(prefix, final_outcome(config))))
+            if len(collected) > max_traces:
+                partial = [t for _, t in sorted(collected, key=_trace_key)]
+                raise LimitExceeded("trace", max_traces, partial=partial)
+            continue
+        stack += [(successor, prefix + (event,)) for event, successor in reversed(outgoing)]
     return [trace for _, trace in sorted(collected, key=_trace_key)]
-
-
-# A module-level function, not a closure: a recursive closure is a
-# reference cycle that would keep the whole LTS alive until the next full
-# garbage collection.
-def _walk(lts: Lts, config: Configuration, prefix: tuple[Event, ...], collected: set, max_traces: int) -> None:
-    outgoing = lts.outgoing(config)
-    if not outgoing:
-        collected.add((tuple(str(e) for e in prefix), Trace(prefix, final_outcome(config))))
-        if len(collected) > max_traces:
-            partial = [t for _, t in sorted(collected, key=_trace_key)]
-            raise LimitExceeded("trace", max_traces, partial=partial)
-        return
-    for event, successor in outgoing:
-        _walk(lts, successor, prefix + (event,), collected, max_traces)
 
 
 def _trace_key(item: tuple[tuple[str, ...], Trace]) -> tuple[tuple[str, ...], str]:

@@ -11,7 +11,7 @@ is free interleaving only; there is no communication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .promise_state import (
@@ -25,6 +25,7 @@ from .promise_state import (
     withdraw,
 )
 from .task_algebra import (
+    StoredHash,
     TaskBody,
     is_exclusive,
     is_positive,
@@ -77,7 +78,7 @@ __all__ = [
 # events
 
 @dataclass(frozen=True, slots=True)
-class IntroduceEvent:
+class IntroduceEvent(StoredHash):
     promiser: Agent
     body: TaskBody
     promisee: Agent
@@ -87,7 +88,7 @@ class IntroduceEvent:
 
 
 @dataclass(frozen=True, slots=True)
-class WithdrawEvent:
+class WithdrawEvent(StoredHash):
     promiser: Agent
     body: TaskBody
     promisee: Agent
@@ -97,7 +98,7 @@ class WithdrawEvent:
 
 
 @dataclass(frozen=True, slots=True)
-class GeneralizedIntroduceEvent:
+class GeneralizedIntroduceEvent(StoredHash):
     promiser: Agent
     performer: Agent
     body: TaskBody
@@ -314,6 +315,8 @@ def eval_condition(
 class Done:
     """The successfully terminated process."""
 
+    terminates = True
+
     def __str__(self) -> str:
         return "ok"
 
@@ -322,85 +325,65 @@ class Done:
 class Deadlock:
     """The process with no behaviour at all."""
 
+    terminates = False
+
     def __str__(self) -> str:
         return "delta"
 
 
+class _Term(StoredHash):
+    """Terms with parts store their hash: exploration keeps configurations
+    in sets, and recomputing a deep hash at every lookup would dominate."""
+
+    __slots__ = ()
+    terminates = False
+
+    def __str__(self) -> str:
+        return _render_term(self)[0]
+
+
+class _Binary(_Term):
+    """Seq, Alt and Par also store ``terminates``, derived from their
+    children's stored values, so that no termination test walks a term."""
+
+    __slots__ = ("terminates",)
+    either = False  # one terminating side suffices (choice)
+
+    def __post_init__(self):
+        StoredHash.__post_init__(self)
+        left, right = self.left.terminates, self.right.terminates
+        object.__setattr__(self, "terminates", (left or right) if self.either else (left and right))
+
+
 @dataclass(frozen=True, slots=True)
-class Act:
+class Act(_Term):
     event: Event
 
-    def __str__(self) -> str:
-        return _render_term(self)[0]
-
-
-# The composite term nodes cache their hash at construction: exploration
-# keeps configurations in sets, and recomputing a deep structural hash on
-# every membership test dominates the run time otherwise.
-
 
 @dataclass(frozen=True, slots=True)
-class Seq:
+class Seq(_Binary):
     left: "ProcessTerm"
     right: "ProcessTerm"
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("Seq", self.left, self.right)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return _render_term(self)[0]
 
 
 @dataclass(frozen=True, slots=True)
-class Alt:
+class Alt(_Binary):
     left: "ProcessTerm"
     right: "ProcessTerm"
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("Alt", self.left, self.right)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return _render_term(self)[0]
+    either = True
 
 
 @dataclass(frozen=True, slots=True)
-class Par:
+class Par(_Binary):
     left: "ProcessTerm"
     right: "ProcessTerm"
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("Par", self.left, self.right)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return _render_term(self)[0]
 
 
 @dataclass(frozen=True, slots=True)
-class Guard:
+class Guard(_Term):
     condition: Condition
     body: "ProcessTerm"
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("Guard", self.condition, self.body)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return _render_term(self)[0]
 
 
 ProcessTerm = Union[Done, Deadlock, Act, Seq, Alt, Par, Guard]
@@ -434,18 +417,11 @@ def _term_child(term: ProcessTerm, min_prec: int) -> str:
 
 
 @dataclass(frozen=True, slots=True)
-class Configuration:
+class Configuration(StoredHash):
     """A process term paired with the promise state it runs against."""
 
     term: ProcessTerm
     state: State
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.term, self.state)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def can_terminate(term: ProcessTerm) -> bool:
@@ -454,18 +430,48 @@ def can_terminate(term: ProcessTerm) -> bool:
     Sequence and parallel require both sides, choice either side; guards
     never terminate by themselves, they must fire through their body.
     """
-    if isinstance(term, Done):
-        return True
-    if isinstance(term, (Deadlock, Act, Guard)):
-        return False
-    if isinstance(term, (Seq, Par)):
-        return can_terminate(term.left) and can_terminate(term.right)
-    if isinstance(term, Alt):
-        return can_terminate(term.left) or can_terminate(term.right)
-    raise TypeError(f"not a process term: {term!r}")
+    return term.terminates
 
 
-def _act_transitions(model: PromiseModel, event: Event, state: State) -> set[tuple[Event, Configuration]]:
+def step(model: PromiseModel, config: Configuration) -> set[tuple[Event, Configuration]]:
+    """All one-step transitions of a configuration."""
+    return {
+        (event, Configuration(term, state))
+        for event, term, state in _moves(model, config.term, config.state)
+    }
+
+
+def _moves(model: PromiseModel, term: ProcessTerm, state: State) -> list[tuple[Event, ProcessTerm, State]]:
+    """The transitions of ``step`` as (event, term, state), possibly
+    repeated. A sequence's left spine is walked with a loop, from the
+    innermost level out: each level wraps the moves so far in its right
+    operand, and adds that operand's moves when its left one terminates."""
+    spine = []
+    while isinstance(term, Seq):
+        spine.append(term)
+        term = term.left
+    if isinstance(term, Act):
+        moves = _act_moves(model, term.event, state)
+    elif isinstance(term, Alt):
+        moves = _moves(model, term.left, state) + _moves(model, term.right, state)
+    elif isinstance(term, Par):
+        left, right = term.left, term.right
+        moves = [(event, Par(succ, right), after) for event, succ, after in _moves(model, left, state)]
+        moves += [(event, Par(left, succ), after) for event, succ, after in _moves(model, right, state)]
+    elif isinstance(term, Guard):
+        moves = _moves(model, term.body, state) if eval_condition(model, term.condition, state) else []
+    elif isinstance(term, (Done, Deadlock)):
+        moves = []
+    else:
+        raise TypeError(f"not a process term: {term!r}")
+    for seq in reversed(spine):
+        moves = [(event, Seq(succ, seq.right), after) for event, succ, after in moves]
+        if seq.left.terminates:
+            moves += _moves(model, seq.right, state)
+    return moves
+
+
+def _act_moves(model: PromiseModel, event: Event, state: State) -> list[tuple[Event, ProcessTerm, State]]:
     if isinstance(event, IntroduceEvent):
         after = try_introduce(model, state, event_promise(event))
     elif isinstance(event, WithdrawEvent):
@@ -476,43 +482,7 @@ def _act_transitions(model: PromiseModel, event: Event, state: State) -> set[tup
         after = try_introduce(model, state, gp.induced()) if gp.compliance() in state else None
     else:
         raise TypeError(f"not an event: {event!r}")
-    return set() if after is None else {(event, Configuration(DONE, after))}
-
-
-def step(model: PromiseModel, config: Configuration) -> set[tuple[Event, Configuration]]:
-    """All one-step transitions of a configuration."""
-    term, state = config.term, config.state
-    if isinstance(term, (Done, Deadlock)):
-        return set()
-    if isinstance(term, Act):
-        return _act_transitions(model, term.event, state)
-    if isinstance(term, Alt):
-        left = step(model, Configuration(term.left, state))
-        right = step(model, Configuration(term.right, state))
-        return left | right
-    if isinstance(term, Seq):
-        out = {
-            (event, Configuration(Seq(succ.term, term.right), succ.state))
-            for event, succ in step(model, Configuration(term.left, state))
-        }
-        if can_terminate(term.left):
-            out |= step(model, Configuration(term.right, state))
-        return out
-    if isinstance(term, Par):
-        out = {
-            (event, Configuration(Par(succ.term, term.right), succ.state))
-            for event, succ in step(model, Configuration(term.left, state))
-        }
-        out |= {
-            (event, Configuration(Par(term.left, succ.term), succ.state))
-            for event, succ in step(model, Configuration(term.right, state))
-        }
-        return out
-    if isinstance(term, Guard):
-        if eval_condition(model, term.condition, state):
-            return step(model, Configuration(term.body, state))
-        return set()
-    raise TypeError(f"not a process term: {term!r}")
+    return [] if after is None else [(event, DONE, after)]
 
 
 class InvalidBody(ValueError):

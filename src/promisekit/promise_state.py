@@ -416,17 +416,21 @@ def obligation_warnings(model: PromiseModel, gp: GeneralizedPromise) -> list[Obl
 def state_clashes(model: PromiseModel, state: State) -> list[tuple[str, Promise, Promise]]:
     """Every pair of promises in the state that clash, as (reason, first,
     second) with each pair and the list in rendered order. Empty for any
-    state reached through enabled introductions."""
-    by_promiser: dict[Agent, list[Promise]] = {}
+    state reached through enabled introductions.
+
+    Only promises of one promiser with equal or incompatible bodies can
+    clash, so each promise is tested only against those."""
+    held: dict[tuple[Agent, TaskBody], list[Promise]] = {}
     for p in state:
-        by_promiser.setdefault(p.promiser, []).append(p)
-    found = []
-    for promises in by_promiser.values():
-        for i, p in enumerate(promises):
-            for q in promises[i + 1 :]:
-                reason = clash(model, p, q)
-                if reason:
-                    found.append((reason, *sorted((p, q), key=str)))
+        held.setdefault((p.promiser, p.body), []).append(p)
+    partners = model.incompatibility.partners
+    found = {
+        (reason, *sorted((p, q), key=str))
+        for p in state
+        for body in (p.body, *partners.get(p.body, ()))
+        for q in held.get((p.promiser, body), ())
+        if (reason := clash(model, p, q))
+    }
     return sorted(found, key=lambda c: (c[0], str(c[1]), str(c[2])))
 
 

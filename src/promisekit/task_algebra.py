@@ -16,6 +16,7 @@ that cannot be promised by one agent to two counterparties at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -48,6 +49,28 @@ __all__ = [
 ]
 
 
+class StoredHash:
+    """Base of the frozen, slotted dataclasses that are hashed far more
+    often than built (task bodies, events, terms, configurations): the
+    hash of the class and the fields is computed once, at construction."""
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # @dataclass generates a field-by-field __hash__ unless the class
+        # defines one itself, so each subclass gets this one as its own
+        cls.__hash__ = StoredHash.__hash__
+        if names := cls.__dict__.get("__annotations__"):
+            cls._fields = attrgetter(*names)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((type(self), self._fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 @dataclass(frozen=True, slots=True)
 class TypeTag:
     """Type of a task body; only same-typed bodies may be incompatible."""
@@ -70,22 +93,12 @@ class TaskAtom:
 
 
 @dataclass(frozen=True, slots=True)
-class TaskBody:
-    """Normal form of a task body: atom plus usage and negation parities.
-
-    The hash is computed once: every incompatibility lookup, and every
-    promise in a state, hashes its body again otherwise."""
+class TaskBody(StoredHash):
+    """Normal form of a task body: atom plus usage and negation parities."""
 
     atom: TaskAtom
     usage: bool = False
     negated: bool = False
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.atom, self.usage, self.negated)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return ("!" if self.negated else "") + ("~" if self.usage else "") + self.atom.name
@@ -180,11 +193,20 @@ class IncompatibilityRelation:
     """Symmetric, irreflexive closure of declared pairs plus every (x, !x).
 
     Pairs are stored unordered (two-element frozensets), which makes
-    symmetry structural.
+    symmetry structural. ``partners``, derived from the pairs at
+    construction, maps each body to the bodies it is incompatible with.
     """
 
     pairs: frozenset[frozenset[TaskBody]]
     declared: frozenset[frozenset[TaskBody]]
+    partners: Mapping[TaskBody, frozenset[TaskBody]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        partners: dict[TaskBody, set[TaskBody]] = {}
+        for x, y in map(tuple, self.pairs):
+            partners.setdefault(x, set()).add(y)
+            partners.setdefault(y, set()).add(x)
+        object.__setattr__(self, "partners", {x: frozenset(ys) for x, ys in partners.items()})
 
 
 def build_incompatibility(
@@ -231,7 +253,7 @@ def build_incompatibility(
 
 def incompatible(rel: IncompatibilityRelation, x: TaskBody, y: TaskBody) -> bool:
     """True iff x and y cannot both be realized by the same agent."""
-    return frozenset((x, y)) in rel.pairs
+    return y in rel.partners.get(x, ())
 
 
 @dataclass(frozen=True)

@@ -245,3 +245,57 @@ class TestUsage:
         code, _, err = run_cli(["run", JUB, flag, "1"])
         assert code == 64
         assert "unrecognized arguments" in err
+
+
+def _long_negotiation(goods: int) -> tuple[str, list[str]]:
+    """A negotiation of ``4 * goods`` events in one sequence, and its only
+    maximal trace: every good is promised and its use promised, then every
+    promise is withdrawn."""
+    names = [f"g{i}" for i in range(goods)]
+    events = [e for g in names for e in (f"pi(s, {g}, m)", f"pi(m, ~{g}, s)")]
+    events += [e for g in names for e in (f"pw(s, {g}, m)", f"pw(m, ~{g}, s)")]
+    lines = ["agent s m", "type t", *(f"task {g} : t" for g in names), "run " + " . ".join(events)]
+    return "\n".join(lines) + "\n", events
+
+
+class TestLongSequences:
+    """Scenario size is bounded by the node limit, not by the interpreter's
+    recursion limit."""
+
+    @pytest.fixture(scope="class")
+    def negotiation(self, tmp_path_factory):
+        text, events = _long_negotiation(150)
+        directory = tmp_path_factory.mktemp("long")
+        (directory / "long.promise").write_text(text, encoding="utf-8")
+        (directory / "long.txt").write_text("\n".join(events) + "\n", encoding="utf-8")
+        return str(directory / "long.promise"), str(directory / "long.txt"), events
+
+    def test_explore(self, negotiation):
+        scenario, _, events = negotiation
+        code, out, _ = run_cli(["explore", scenario, "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["nodes"], report["edges"]) == (601, 600)
+        assert report["traces"] == [{"events": events, "outcome": "successful"}]
+
+    def test_run(self, negotiation):
+        scenario, _, events = negotiation
+        code, out, _ = run_cli(["run", scenario, "--format", "json"])
+        assert code == 0
+        walk = json.loads(out)
+        assert (walk["events"], walk["outcome"]) == (events, "successful")
+
+    def test_verify_trace(self, negotiation):
+        scenario, trace, _ = negotiation
+        code, out, _ = run_cli(["verify-trace", scenario, "--trace", trace, "--format", "json"])
+        assert code == 0
+        verdict = json.loads(out)
+        assert (verdict["verdict"], verdict["maximal"], verdict["outcome"]) == ("accepted", True, "successful")
+
+    def test_check(self, tmp_path):
+        scenario = tmp_path / "repeat.promise"
+        body = " . ".join(["pi(s, g, c) . pw(s, g, c)"] * 1_000)
+        scenario.write_text(f"agent s c\ntype t\ntask g : t\nrun {body}\n", encoding="utf-8")
+        code, out, _ = run_cli(["check", str(scenario)])
+        assert code == 0
+        assert out.splitlines()[-1] == "ok"

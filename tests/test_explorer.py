@@ -40,7 +40,8 @@ from promisekit.process_algebra import (
     WithdrawEvent,
     step,
 )
-from promisekit.promise_state import EMPTY_STATE, State
+from promisekit.promise_state import EMPTY_STATE, Agent, Promise, State
+from promisekit.task_algebra import GAMMA
 
 from scenario_gen import random_scenario_text
 from sos_oracle import explorer_trace_set, oracle_traces
@@ -132,6 +133,19 @@ class TestMaximalTraces:
         alive = weakref.ref(lts)
         del lts
         assert alive() is None
+
+    def test_long_chain_is_walked_without_recursion(self):
+        # one path of 5,000 edges, far beyond the interpreter's recursion limit
+        length = 5_000
+        promisee = Agent("m")
+        events = [IntroduceEvent(Agent(f"n{i}"), GAMMA, promisee) for i in range(length)]
+        nodes = [EMPTY_STATE] + [
+            State(frozenset({Promise(event.promiser, GAMMA, promisee)})) for event in events
+        ]
+        nodes = [Configuration(DONE, state) for state in nodes]
+        edges = tuple(zip(nodes, events, nodes[1:]))
+        traces = maximal_traces(Lts(nodes[0], tuple(nodes), edges))
+        assert traces == [Trace(tuple(events), Outcome.SUCCESSFUL)]
 
     def test_every_trace_replays(self, ride, ride_lts, ride_traces):
         initial = Configuration(ride.entry, ride.initial_state)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from promisekit.process_algebra import (
     Act,
@@ -32,8 +35,10 @@ from promisekit.process_algebra import (
     make_protocol,
     step,
 )
-from promisekit.promise_state import EMPTY_STATE, Promise, State, introduce
-from promisekit.task_algebra import GAMMA
+from promisekit.promise_state import EMPTY_STATE, Promise, PromiseModel, State, introduce
+from promisekit.task_algebra import GAMMA, all_bodies
+
+from sos_oracle import _finished, _moves
 
 
 def accept_guard(model, initiator):
@@ -200,3 +205,65 @@ class TestProtocol:
         m = ride_model
         with pytest.raises(InvalidBody):
             make_protocol(m, m.agent("ja"), m.agent("ma"), m.body(body))
+
+
+ORACLE_MODEL = PromiseModel.create(
+    agents=("a", "b", "c"),
+    types=("t",),
+    atoms={"x": "t", "y": "t"},
+    incompatible_pairs=[("x", "y")],
+    exclusive=("~x", "y"),
+)
+AGENTS = st.sampled_from(ORACLE_MODEL.agents)
+BODIES = st.sampled_from(all_bodies(ORACLE_MODEL.atoms))
+EVENTS = st.one_of(
+    st.builds(IntroduceEvent, AGENTS, BODIES, AGENTS),
+    st.builds(WithdrawEvent, AGENTS, BODIES, AGENTS),
+    st.builds(GeneralizedIntroduceEvent, AGENTS, AGENTS, BODIES, AGENTS, AGENTS),
+)
+CONDITIONS = st.one_of(
+    st.just(TRUE),
+    st.just(FALSE),
+    st.builds(HasPromise, AGENTS, BODIES, AGENTS),
+    st.builds(Not, st.builds(HasPromise, AGENTS, BODIES, AGENTS)),
+)
+
+
+def _composites(terms):
+    return st.one_of(
+        st.builds(Seq, terms, terms),
+        st.builds(Alt, terms, terms),
+        st.builds(Par, terms, terms),
+        st.builds(Guard, CONDITIONS, terms),
+    )
+
+
+LEAVES = st.one_of(st.just(DONE), st.just(DEADLOCK), st.builds(Act, EVENTS))
+SMALL_TERMS = st.recursive(LEAVES, _composites, max_leaves=3)
+CHAINS = st.lists(st.one_of(LEAVES, SMALL_TERMS), min_size=2, max_size=40)
+# long sequences nested to the left (as parsed) and to the right, with
+# the other operators below and above them
+DEEP_TERMS = st.recursive(
+    st.one_of(
+        CHAINS.map(lambda terms: reduce(Seq, terms)),
+        CHAINS.map(lambda terms: reduce(lambda right, left: Seq(left, right), reversed(terms))),
+    ),
+    _composites,
+    max_leaves=3,
+)
+PROMISES = st.builds(Promise, AGENTS, BODIES, AGENTS)
+
+
+class TestOracleAgreement:
+    @settings(max_examples=150, deadline=None)
+    @given(DEEP_TERMS, st.frozensets(PROMISES, max_size=6), st.booleans())
+    def test_step_and_termination_match_the_oracle(self, term, held, strict):
+        model = ORACLE_MODEL.with_strict_conflicts(strict)
+        moves = step(model, Configuration(term, State(held)))
+        assert moves == {
+            (event, Configuration(succ, State(after)))
+            for event, succ, after in _moves(model, term, held)
+        }
+        assert can_terminate(term) is _finished(term)
+        for _, succ in moves:
+            assert can_terminate(succ.term) is _finished(succ.term)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +20,7 @@ from promisekit.promise_state import (
     State,
     SubordinationCycle,
     SubordinationOrder,
+    clash,
     has_promise,
     introduce,
     introduce_generalized,
@@ -25,6 +28,7 @@ from promisekit.promise_state import (
     obligation_warnings,
     pi_enabled,
     pw_enabled,
+    state_clashes,
     withdraw,
 )
 from promisekit.task_algebra import GAMMA, all_bodies
@@ -291,3 +295,15 @@ class TestOracleAgreement:
         else:
             with pytest.raises(NotEnabled):
                 introduce(model, state, candidate)
+
+    @given(st.frozensets(ORACLE_PROMISES, max_size=16), st.booleans())
+    def test_state_clashes_match_all_pairs(self, held, strict):
+        # the indexed lookup against every pair tested with the clash rule
+        model = ORACLE_MODEL.with_strict_conflicts(strict)
+        every_pair = [
+            (reason, *sorted((p, q), key=str))
+            for p, q in combinations(held, 2)
+            if (reason := clash(model, p, q))
+        ]
+        expected = sorted(every_pair, key=lambda c: (c[0], str(c[1]), str(c[2])))
+        assert state_clashes(model, State(held)) == expected
