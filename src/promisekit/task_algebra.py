@@ -199,14 +199,14 @@ class IncompatibilityRelation:
 
     pairs: frozenset[frozenset[TaskBody]]
     declared: frozenset[frozenset[TaskBody]]
-    partners: Mapping[TaskBody, frozenset[TaskBody]] = field(init=False, repr=False, compare=False)
+    partners: Mapping[TaskBody, tuple[TaskBody, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        partners: dict[TaskBody, set[TaskBody]] = {}
+        partners: dict[TaskBody, list[TaskBody]] = {}
         for x, y in map(tuple, self.pairs):
-            partners.setdefault(x, set()).add(y)
-            partners.setdefault(y, set()).add(x)
-        object.__setattr__(self, "partners", {x: frozenset(ys) for x, ys in partners.items()})
+            partners.setdefault(x, []).append(y)
+            partners.setdefault(y, []).append(x)
+        object.__setattr__(self, "partners", {x: tuple(ys) for x, ys in partners.items()})
 
 
 def build_incompatibility(
