@@ -1,6 +1,6 @@
 """Golden command-line outputs: the exit code and the stdout digest of
-every subcommand on the bundled corpus and on two deep scenarios, in both
-output formats and both conflict modes.
+every subcommand on the bundled corpus, on two deep scenarios and on a
+nondeterministic one, in both output formats and both conflict modes.
 
     PYTHONPATH=src python tests/golden_outputs.py   # rewrites golden/outputs.json
 
@@ -37,6 +37,9 @@ SCENARIOS = (
     # successful trace (rejected under strict conflicts)
     (f"{GOLDEN}/deep_sequential.promise", f"{GOLDEN}/deep_sequential_trace.txt", (0,)),
     (f"{GOLDEN}/deep_mixed.promise", f"{GOLDEN}/deep_mixed_trace.txt", SEEDS),
+    # one event into several configurations, and a prefix that ends both
+    # successful and deadlocked, which verify-trace reports as successful
+    (f"{GOLDEN}/nondeterministic.promise", f"{GOLDEN}/nondeterministic_trace.txt", SEEDS),
 )
 
 
