@@ -515,7 +515,12 @@ def _parse_cond_primary(stream: _Stream, model: PromiseModel, bound: list[str]) 
 def _parse_term_stream(
     stream: _Stream, model: PromiseModel, definitions: dict[str, ProcessTerm]
 ) -> ProcessTerm:
-    return _parse_par(stream, model, definitions)
+    try:
+        return _parse_par(stream, model, definitions)
+    except RecursionError:  # only nesting recurses: operator chains are loops
+        tok = stream.peek()
+        column = tok.column if tok else stream.end_column
+        raise ParseError(stream.line, column, "less deeply nested input") from None
 
 
 def _parse_par(stream, model, definitions) -> ProcessTerm:

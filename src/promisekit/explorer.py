@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .process_algebra import (
     Configuration,
@@ -90,9 +91,6 @@ class Lts:
     def outgoing(self, config: Configuration) -> list[tuple[Event, Configuration]]:
         return self._outgoing[config]
 
-    def terminal_nodes(self) -> list[Configuration]:
-        return [node for node in self.nodes if not self._outgoing[node]]
-
 
 def build_lts(
     model: PromiseModel,
@@ -149,39 +147,48 @@ class Trace:
         return "\n".join(str(event) for event in self.events)
 
 
-def final_outcome(*configs: Configuration) -> Outcome:
-    """How a run ends that stopped in any of ``configs``: successful when
-    one of them can terminate, deadlocked otherwise."""
-    if any(can_terminate(config.term) for config in configs):
-        return Outcome.SUCCESSFUL
-    return Outcome.DEADLOCKED
+def final_outcome(config: Configuration) -> Outcome:
+    """How a run ends that stopped in ``config``: successful when its term
+    can terminate, deadlocked otherwise."""
+    return Outcome.SUCCESSFUL if can_terminate(config.term) else Outcome.DEADLOCKED
+
+
+def _after(configs, successors) -> tuple[dict[Event, set[Configuration]], set[Outcome]]:
+    """One step of the subset construction: each event that ``successors``
+    gives any of ``configs``, with every configuration it leads to, and
+    the outcomes of those of ``configs`` that have no transition."""
+    targets: dict[Event, set[Configuration]] = {}
+    ends: set[Outcome] = set()
+    for config in configs:
+        moves = successors(config)
+        if not moves:
+            ends.add(final_outcome(config))
+        for event, successor in moves:
+            targets.setdefault(event, set()).add(successor)
+    return targets, ends
 
 
 def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trace]:
     """Every event sequence from the initial node to a terminal node.
 
     Distinct paths yielding the same (events, outcome) pair collapse to
-    one trace. The result is sorted by rendered events, then outcome.
+    one trace. The result is sorted by rendered events, then outcome: the
+    walk visits each event prefix once, with every node it reaches, and
+    yields its own traces before its extensions in rendered-event order,
+    so it stops at the first trace past ``max_traces`` in that order.
     """
-    collected: set[tuple[tuple[str, ...], Trace]] = set()
-    # depth first, in outgoing order, with a stack instead of recursion so
-    # that no recursion limit bounds the trace length
-    stack: list[tuple[Configuration, tuple[Event, ...]]] = [(lts.initial, ())]
+    traces: list[Trace] = []
+    # an explicit stack, so that no recursion limit bounds the trace length
+    stack: list[tuple[tuple[Event, ...], set[Configuration]]] = [((), {lts.initial})]
     while stack:
-        config, prefix = stack.pop()
-        outgoing = lts.outgoing(config)
-        if not outgoing:
-            collected.add((tuple(str(e) for e in prefix), Trace(prefix, final_outcome(config))))
-            if len(collected) > max_traces:
-                partial = [t for _, t in sorted(collected, key=_trace_key)]
-                raise LimitExceeded("trace", max_traces, partial=partial)
-            continue
-        stack += [(successor, prefix + (event,)) for event, successor in reversed(outgoing)]
-    return [trace for _, trace in sorted(collected, key=_trace_key)]
-
-
-def _trace_key(item: tuple[tuple[str, ...], Trace]) -> tuple[tuple[str, ...], str]:
-    return (item[0], item[1].outcome.value)
+        prefix, configs = stack.pop()
+        targets, ends = _after(configs, lts.outgoing)
+        for outcome in sorted(ends, key=str):
+            traces.append(Trace(prefix, outcome))
+            if len(traces) > max_traces:
+                raise LimitExceeded("trace", max_traces, partial=traces)
+        stack += [(prefix + (event,), targets[event]) for event in sorted(targets, key=str, reverse=True)]
+    return traces
 
 
 @dataclass(frozen=True)
@@ -192,10 +199,6 @@ class Accepted:
     maximal: bool
     outcome: Outcome | None  # None when the trace can still be extended
 
-    @property
-    def accepted(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Rejected:
@@ -205,10 +208,6 @@ class Rejected:
     index: int
     available: tuple[Event, ...]
     state: State
-
-    @property
-    def accepted(self) -> bool:
-        return False
 
 
 def verify_trace(
@@ -222,29 +221,19 @@ def verify_trace(
     replay tracks every configuration the prefix can reach; the promise
     state is identical across them because it is a function of the events.
     """
-    current: set[Configuration] = {initial}
+    current = {initial}
+    successors = partial(step, model)
     for index, wanted in enumerate(events):
-        available: set[Event] = set()
-        successors: set[Configuration] = set()
-        for config in current:
-            for event, successor in step(model, config):
-                available.add(event)
-                if event == wanted:
-                    successors.add(successor)
-        if not successors:
-            state = next(iter(current)).state
-            return Rejected(
-                index=index,
-                available=tuple(sorted(available, key=str)),
-                state=state,
-            )
-        current = successors
+        targets, _ = _after(current, successors)
+        if wanted not in targets:
+            available = tuple(sorted(targets, key=str))
+            return Rejected(index=index, available=available, state=next(iter(current)).state)
+        current = targets[wanted]
 
-    final_state = next(iter(current)).state
-    terminal = [config for config in current if not step(model, config)]
-    if not terminal:
-        return Accepted(final_state=final_state, maximal=False, outcome=None)
-    return Accepted(final_state=final_state, maximal=True, outcome=final_outcome(*terminal))
+    _, ends = _after(current, successors)
+    # successful when any run can end so here, None when none can end here
+    outcome = Outcome.SUCCESSFUL if Outcome.SUCCESSFUL in ends else next(iter(ends), None)
+    return Accepted(final_state=next(iter(current)).state, maximal=bool(ends), outcome=outcome)
 
 
 @dataclass(frozen=True)
@@ -273,4 +262,5 @@ def check_invariants(model: PromiseModel, lts: Lts) -> list[Violation]:
 
 def find_deadlocks(lts: Lts) -> list[Configuration]:
     """Terminal configurations that cannot terminate successfully."""
-    return [node for node in lts.terminal_nodes() if final_outcome(node) is Outcome.DEADLOCKED]
+    terminal = [node for node in lts.nodes if not lts.outgoing(node)]
+    return [node for node in terminal if final_outcome(node) is Outcome.DEADLOCKED]

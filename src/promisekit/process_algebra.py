@@ -393,7 +393,8 @@ DEADLOCK = Deadlock()
 
 
 def _render_term(term: ProcessTerm) -> tuple[str, int]:
-    # binding strength: `.` over `+` over `||`; guards prefix one operand
+    # binding strength: `.` over `+` over `||`; guards prefix one operand;
+    # a sequence's left spine is a loop, so that any length renders
     if isinstance(term, Done):
         return "ok", 4
     if isinstance(term, Deadlock):
@@ -401,7 +402,11 @@ def _render_term(term: ProcessTerm) -> tuple[str, int]:
     if isinstance(term, Act):
         return str(term.event), 4
     if isinstance(term, Seq):
-        return f"{_term_child(term.left, 2)} . {_term_child(term.right, 3)}", 2
+        rights = []
+        while isinstance(term, Seq):
+            rights.append(_term_child(term.right, 3))
+            term = term.left
+        return " . ".join([_term_child(term, 2)] + rights[::-1]), 2
     if isinstance(term, Alt):
         return f"{_term_child(term.left, 1)} + {_term_child(term.right, 2)}", 1
     if isinstance(term, Par):

@@ -300,3 +300,26 @@ class TestLongSequences:
         code, out, _ = run_cli(["check", str(scenario)])
         assert code == 0
         assert out.splitlines()[-1] == "ok"
+
+    def test_explore_renders_a_deep_sequence(self, tmp_path):
+        # the first node has two transitions, so the 600-deep sequence after
+        # it is rendered for the transition order
+        scenario = tmp_path / "branch.promise"
+        body = " . ".join(["pi(s, g, c) . pw(s, g, c)"] * 300)
+        text = f"agent s c\ntype t\ntask g : t\ntask h : t\nrun (pi(s, h, c) + pi(c, h, s)) . ({body})\n"
+        scenario.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(["explore", str(scenario), "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert (report["nodes"], report["edges"], len(report["traces"])) == (1203, 1202, 2)
+
+    def test_check_rejects_deep_nesting_in_one_line(self, tmp_path):
+        # long operator chains parse at any length; nesting is what recurses
+        scenario = tmp_path / "nested.promise"
+        term = "(" * 300 + "pi(s, g, c)" + ")" * 300
+        scenario.write_text(f"agent s c\ntype t\ntask g : t\nrun {term}\n", encoding="utf-8")
+        code, out, err = run_cli(["check", str(scenario)])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {scenario}: line 4, column ")
+        assert "expected less deeply nested input" in err

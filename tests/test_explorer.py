@@ -8,6 +8,7 @@ recursive enumerator in sos_oracle.
 from __future__ import annotations
 
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,21 @@ RIDE_NODES = 48
 RIDE_EDGES = 96
 RIDE_TRACES = 340
 RIDE_DIAMETER = 8
+
+# (scenario text, strict conflicts): the corpus in both modes, a scenario
+# whose traces fold nondeterminism, and the generated scenarios
+NONDETERMINISTIC = Path(__file__).parent / "golden" / "nondeterministic.promise"
+TRACE_ORDER_CASES = [
+    pytest.param(text, mode == "strict", id=f"{name}-{mode}")
+    for name, text in [
+        *((name, corpus_text(name)) for name in ("jub.promise", "isp.promise", "laws.promise")),
+        ("nondeterministic.promise", NONDETERMINISTIC.read_text(encoding="utf-8")),
+    ]
+    for mode in ("dyadic", "strict")
+]
+TRACE_ORDER_CASES += [
+    pytest.param(random_scenario_text(seed), False, id=f"generated-{seed}") for seed in range(12)
+]
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +141,37 @@ class TestMaximalTraces:
     def test_trace_limit(self, ride_lts):
         with pytest.raises(LimitExceeded):
             maximal_traces(ride_lts, max_traces=10)
+
+    @pytest.mark.parametrize("text, strict", TRACE_ORDER_CASES)
+    def test_report_order_and_the_first_traces_past_a_cap(self, text, strict):
+        scenario = parse_scenario(text, strict_conflicts=strict)
+        initial = Configuration(scenario.entry, scenario.initial_state)
+        lts = build_lts(scenario.model, initial, node_limit=5000)
+        full = maximal_traces(lts, max_traces=50000)
+        keys = [(tuple(str(e) for e in t.events), str(t.outcome)) for t in full]
+        assert keys == sorted(set(keys))
+        for cap in (1, 10, 100):
+            if len(full) > cap:
+                with pytest.raises(LimitExceeded) as exc:
+                    maximal_traces(lts, max_traces=cap)
+                assert exc.value.partial == full[: cap + 1]
+
+    def test_paths_with_equal_events_are_walked_once(self):
+        # 16 choices between two branches that start with the same event:
+        # 65,536 paths, one trace
+        block = "(pi(a, x, b) . ok + pi(a, x, b))"
+        scenario = parse_scenario("agent a b\ntype t\ntask x : t\nrun " + " . ".join([block] * 16))
+        initial = Configuration(scenario.entry, scenario.initial_state)
+        lts = build_lts(scenario.model, initial)
+        assert (len(lts.nodes), len(lts.edges)) == (33, 62)
+        calls = []
+        outgoing = lts.outgoing
+        lts.outgoing = lambda config: calls.append(1) or outgoing(config)
+        [trace] = maximal_traces(lts)
+        assert len(calls) <= 33  # one per node; walking every path takes 131,071
+        verdict = verify_trace(scenario.model, initial, trace.events)
+        assert isinstance(verdict, Accepted)
+        assert (verdict.maximal, verdict.outcome) == (True, Outcome.SUCCESSFUL)
 
     def test_enumeration_does_not_keep_the_lts_alive(self, ride):
         # freed by reference counting alone, without a garbage collection
