@@ -231,7 +231,7 @@ def verify_trace(
         current = targets[wanted]
 
     _, ends = _after(current, successors)
-    # successful when any run can end so here, None when none can end here
+    # successful if any terminal configuration is, None if none is terminal
     outcome = Outcome.SUCCESSFUL if Outcome.SUCCESSFUL in ends else next(iter(ends), None)
     return Accepted(final_state=next(iter(current)).state, maximal=bool(ends), outcome=outcome)
 

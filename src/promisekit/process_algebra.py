@@ -402,11 +402,11 @@ def _render_term(term: ProcessTerm) -> tuple[str, int]:
     if isinstance(term, Act):
         return str(term.event), 4
     if isinstance(term, Seq):
-        rights = []
-        while isinstance(term, Seq):
-            rights.append(_term_child(term.right, 3))
+        text = _term_child(term.right, 3)
+        while isinstance(term.left, Seq):
             term = term.left
-        return " . ".join([_term_child(term, 2)] + rights[::-1]), 2
+            text = f"{_term_child(term.right, 3)} . {text}"
+        return f"{_term_child(term.left, 2)} . {text}", 2
     if isinstance(term, Alt):
         return f"{_term_child(term.left, 1)} + {_term_child(term.right, 2)}", 1
     if isinstance(term, Par):
