@@ -168,7 +168,7 @@ class TestMaximalTraces:
         outgoing = lts.outgoing
         lts.outgoing = lambda config: calls.append(1) or outgoing(config)
         [trace] = maximal_traces(lts)
-        assert len(calls) <= 33  # one per node; walking every path takes 131,071
+        assert len(calls) <= 33  # at most one per node; walking every path takes 131,071
         verdict = verify_trace(scenario.model, initial, trace.events)
         assert isinstance(verdict, Accepted)
         assert (verdict.maximal, verdict.outcome) == (True, Outcome.SUCCESSFUL)
