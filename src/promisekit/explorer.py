@@ -57,12 +57,29 @@ class LimitExceeded(Exception):
         self.partial = partial
 
 
-def transitions(model: PromiseModel, config: Configuration) -> list[tuple[Event, Configuration]]:
+class _Renderings(dict):
+    """Each key's ``str``, computed at its first lookup."""
+
+    def __missing__(self, item) -> str:
+        text = self[item] = str(item)
+        return text
+
+
+def transitions(
+    model: PromiseModel, config: Configuration, texts: _Renderings | None = None
+) -> list[tuple[Event, Configuration]]:
     """The one-step transitions of a configuration in the order every
-    report uses: by rendered event, then successor term, then state."""
+    report uses: by rendered event, then successor term, then state. An
+    exploration keeps ``texts`` for all its calls, so that no event, term
+    or state is rendered twice."""
     moves = list(step(model, config))
     if len(moves) > 1:
-        moves.sort(key=lambda tr: (str(tr[0]), str(tr[1].term), str(tr[1].state)))
+        texts = _Renderings() if texts is None else texts
+        if len({texts[event] for event, _ in moves}) == len(moves):
+            # distinct events decide the order: no successor is rendered
+            moves.sort(key=lambda move: texts[move[0]])
+        else:
+            moves.sort(key=lambda move: (texts[move[0]], texts[move[1].term], texts[move[1].state]))
     return moves
 
 
@@ -99,33 +116,34 @@ def build_lts(
 ) -> Lts:
     """Breadth-first closure of ``step`` starting from ``initial``.
 
-    Configurations are deduplicated structurally. Raises LimitExceeded
+    Configurations are deduplicated structurally, and each is one object:
+    every edge leads to the instance in ``nodes``. Raises LimitExceeded
     (with the partial system attached) when more than ``node_limit``
     configurations are reachable.
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
-    seen = {initial}
-    order = [initial]
+    seen = {initial: initial}  # each configuration, to its one instance
+    texts = _Renderings()
     edges: list[tuple[Configuration, Event, Configuration]] = []
     queue = deque([initial])
     truncated = False
     while queue:
         config = queue.popleft()
-        for event, successor in transitions(model, config):
-            edges.append((config, event, successor))
-            if successor not in seen:
+        for event, successor in transitions(model, config, texts):
+            node = seen.get(successor)
+            if node is None:
+                node = successor
                 if len(seen) >= node_limit:
                     truncated = True
-                    continue
-                seen.add(successor)
-                order.append(successor)
-                queue.append(successor)
+                else:
+                    seen[node] = node
+                    queue.append(node)
+            edges.append((config, event, node))
+    lts = Lts(initial, tuple(seen), tuple(edges))
     if truncated:
-        raise LimitExceeded(
-            "node", node_limit, partial=Lts(initial, tuple(order), tuple(edges))
-        )
-    return Lts(initial, tuple(order), tuple(edges))
+        raise LimitExceeded("node", node_limit, partial=lts)
+    return lts
 
 
 class Outcome(enum.Enum):
@@ -178,16 +196,25 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     so it stops at the first trace past ``max_traces`` in that order.
     """
     traces: list[Trace] = []
-    # an explicit stack, so that no recursion limit bounds the trace length
-    stack: list[tuple[tuple[Event, ...], set[Configuration]]] = [((), {lts.initial})]
+    texts = _Renderings()
+    # an explicit stack, so that no recursion limit bounds the trace length;
+    # a prefix is its last event and the prefix before it, so that no step
+    # copies it, and becomes a tuple only for a trace
+    stack: list[tuple[tuple | None, set[Configuration]]] = [(None, {lts.initial})]
     while stack:
         prefix, configs = stack.pop()
         targets, ends = _after(configs, lts.outgoing)
-        for outcome in sorted(ends, key=str):
-            traces.append(Trace(prefix, outcome))
-            if len(traces) > max_traces:
-                raise LimitExceeded("trace", max_traces, partial=traces)
-        stack += [(prefix + (event,), targets[event]) for event in sorted(targets, key=str, reverse=True)]
+        if ends:
+            events, link = [], prefix
+            while link is not None:
+                event, link = link
+                events.append(event)
+            events.reverse()
+            for outcome in sorted(ends, key=str):
+                traces.append(Trace(tuple(events), outcome))
+                if len(traces) > max_traces:
+                    raise LimitExceeded("trace", max_traces, partial=traces)
+        stack += [((event, prefix), targets[event]) for event in sorted(targets, key=texts.__getitem__, reverse=True)]
     return traces
 
 

@@ -347,7 +347,9 @@ class _Binary(_Term):
     children's stored values, so that no termination test walks a term."""
 
     __slots__ = ("terminates",)
+    chains = True
     either = False  # one terminating side suffices (choice)
+    symbol, binding = "", 0  # the operator, and how strongly it binds
 
     def __post_init__(self):
         StoredHash.__post_init__(self)
@@ -365,6 +367,8 @@ class Seq(_Binary):
     left: "ProcessTerm"
     right: "ProcessTerm"
 
+    symbol, binding = ".", 2
+
 
 @dataclass(frozen=True, slots=True)
 class Alt(_Binary):
@@ -372,12 +376,15 @@ class Alt(_Binary):
     right: "ProcessTerm"
 
     either = True
+    symbol, binding = "+", 1
 
 
 @dataclass(frozen=True, slots=True)
 class Par(_Binary):
     left: "ProcessTerm"
     right: "ProcessTerm"
+
+    symbol, binding = "||", 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -394,23 +401,21 @@ DEADLOCK = Deadlock()
 
 def _render_term(term: ProcessTerm) -> tuple[str, int]:
     # binding strength: `.` over `+` over `||`; guards prefix one operand;
-    # a sequence's left spine is a loop, so that any length renders
+    # a chain of one operator down the left operands is a loop, so that
+    # any length renders
     if isinstance(term, Done):
         return "ok", 4
     if isinstance(term, Deadlock):
         return "delta", 4
     if isinstance(term, Act):
         return str(term.event), 4
-    if isinstance(term, Seq):
-        text = _term_child(term.right, 3)
-        while isinstance(term.left, Seq):
+    if isinstance(term, _Binary):
+        kind, binding, joint = type(term), term.binding, f" {term.symbol} "
+        text = _term_child(term.right, binding + 1)
+        while isinstance(term.left, kind):
             term = term.left
-            text = f"{_term_child(term.right, 3)} . {text}"
-        return f"{_term_child(term.left, 2)} . {text}", 2
-    if isinstance(term, Alt):
-        return f"{_term_child(term.left, 1)} + {_term_child(term.right, 2)}", 1
-    if isinstance(term, Par):
-        return f"{_term_child(term.left, 0)} || {_term_child(term.right, 1)}", 0
+            text = _term_child(term.right, binding + 1) + joint + text
+        return _term_child(term.left, binding) + joint + text, binding
     if isinstance(term, Guard):
         return f"[{term.condition}] -> {_term_child(term.body, 3)}", 3
     raise TypeError(f"not a process term: {term!r}")
@@ -448,31 +453,34 @@ def step(model: PromiseModel, config: Configuration) -> set[tuple[Event, Configu
 
 def _moves(model: PromiseModel, term: ProcessTerm, state: State) -> list[tuple[Event, ProcessTerm, State]]:
     """The transitions of ``step`` as (event, term, state), possibly
-    repeated. A sequence's left spine is walked with a loop, from the
-    innermost level out: each level wraps the moves so far in its right
-    operand, and adds that operand's moves when its left one terminates."""
+    repeated. A chain of binary operators down the left operands (a
+    sequence's spine, a choice or interleaving of many operands) is walked
+    with a loop, from the innermost level out: each level combines the
+    moves so far with its right operand's."""
     spine = []
-    while isinstance(term, Seq):
+    while isinstance(term, _Binary):
         spine.append(term)
         term = term.left
     if isinstance(term, Act):
         moves = _act_moves(model, term.event, state)
-    elif isinstance(term, Alt):
-        moves = _moves(model, term.left, state) + _moves(model, term.right, state)
-    elif isinstance(term, Par):
-        left, right = term.left, term.right
-        moves = [(event, Par(succ, right), after) for event, succ, after in _moves(model, left, state)]
-        moves += [(event, Par(left, succ), after) for event, succ, after in _moves(model, right, state)]
     elif isinstance(term, Guard):
         moves = _moves(model, term.body, state) if eval_condition(model, term.condition, state) else []
     elif isinstance(term, (Done, Deadlock)):
         moves = []
     else:
         raise TypeError(f"not a process term: {term!r}")
-    for seq in reversed(spine):
-        moves = [(event, Seq(succ, seq.right), after) for event, succ, after in moves]
-        if seq.left.terminates:
-            moves += _moves(model, seq.right, state)
+    for level in reversed(spine):
+        right = level.right
+        if isinstance(level, Seq):
+            moves = [(event, Seq(succ, right), after) for event, succ, after in moves]
+            if level.left.terminates:
+                moves += _moves(model, right, state)
+        elif isinstance(level, Alt):
+            moves += _moves(model, right, state)
+        else:
+            left = level.left
+            moves = [(event, Par(succ, right), after) for event, succ, after in moves]
+            moves += [(event, Par(left, succ), after) for event, succ, after in _moves(model, right, state)]
     return moves
 
 

@@ -55,12 +55,16 @@ class StoredHash:
     hash of the class and the fields is computed once, at construction."""
 
     __slots__ = ("_hash",)
+    chains = False  # the first of two or more fields may hold an instance of the class
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # @dataclass generates a field-by-field __hash__ unless the class
-        # defines one itself, so each subclass gets this one as its own
+        # @dataclass generates a field-by-field __hash__ and __eq__ unless
+        # the class defines them itself, so each subclass gets this __hash__,
+        # and each class that chains this __eq__, as its own
         cls.__hash__ = StoredHash.__hash__
+        if cls.chains:
+            cls.__eq__ = StoredHash._chain_eq
         if names := cls.__dict__.get("__annotations__"):
             cls._fields = attrgetter(*names)
 
@@ -69,6 +73,25 @@ class StoredHash:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def _chain_eq(self, other) -> bool:
+        """Equal fields, comparing the stored hashes first. A chain of the
+        class through the first field (a sequence's left spine) is walked
+        with a loop, so that no recursion limit bounds its length."""
+        cls = self.__class__
+        if other.__class__ is not cls:
+            return NotImplemented
+        a, b = self, other
+        while a is not b:
+            if a._hash != b._hash:
+                return False
+            mine, theirs = a._fields(a), b._fields(b)
+            if mine[1:] != theirs[1:]:
+                return False
+            a, b = mine[0], theirs[0]
+            if a.__class__ is not cls or b.__class__ is not cls:
+                return a == b
+        return True
 
 
 @dataclass(frozen=True, slots=True)

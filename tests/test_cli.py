@@ -313,6 +313,39 @@ class TestLongSequences:
         report = json.loads(out)
         assert (report["nodes"], report["edges"], len(report["traces"])) == (1203, 1202, 2)
 
+    def test_explore_interleaves_a_deep_sequence(self, tmp_path):
+        # the two orders of the interleaving reach equal but distinct
+        # configurations with a 600-deep sequence, which the node lookup
+        # compares
+        scenario = tmp_path / "interleaved.promise"
+        body = " . ".join(["pi(s, g, c) . pw(s, g, c)"] * 300)
+        text = f"agent s c\ntype t\ntask g : t\ntask h : t\nrun ({body}) || pi(c, h, s)\n"
+        scenario.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(["explore", str(scenario)])
+        assert code == 0
+        assert out.splitlines()[:3] == ["nodes: 1202", "edges: 1801", "traces: 601"]
+
+    @pytest.mark.parametrize(
+        "operator, operand, outcome", [("+", "pi(s, g, c)", "successful"), ("||", "delta", "deadlocked")]
+    )
+    def test_long_operator_chains(self, tmp_path, operator, operand, outcome):
+        # 1,000 operands of one choice or interleaving: stepping through
+        # and rendering them is a loop, as for a sequence
+        scenario = tmp_path / "chain.promise"
+        term = f" {operator} ".join([operand] * 1_000 + ["pi(s, g, c)"])
+        scenario.write_text(f"agent s c\ntype t\ntask g : t\nrun {term}\n", encoding="utf-8")
+        code, out, err = run_cli(["explore", str(scenario), "--format", "json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["nodes"], report["edges"]) == (2, 1)
+        assert report["traces"] == [{"events": ["pi(s, g, c)"], "outcome": outcome}]
+        if outcome == "deadlocked":
+            [deadlock] = report["deadlocks"]
+            assert deadlock["term"] == " || ".join(["delta"] * 1_000 + ["ok"])
+        code, out, err = run_cli(["run", str(scenario)])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["pi(s, g, c)", f"outcome: {outcome}"]
+
     def test_check_rejects_deep_nesting_in_one_line(self, tmp_path):
         # long operator chains parse at any length; nesting is what recurses
         scenario = tmp_path / "nested.promise"

@@ -68,6 +68,31 @@ TRACE_ORDER_CASES += [
 ]
 
 
+def offers(n: int) -> str:
+    """``n`` concurrent offers of one exclusive lift; n=2 is the ride."""
+    offerers = [f"o{i}" for i in range(n)]
+    return "\n".join(
+        [
+            "agent c " + " ".join(offerers),
+            "type transport",
+            "task lift : transport",
+            "exclusive ~lift",
+            "run " + " || ".join(f"protocol({o}, c, lift)" for o in offerers),
+        ]
+    ) + "\n"
+
+
+# the corpus, every golden scenario and two larger offer families
+CANONICAL_CASES = [
+    *(pytest.param(corpus_text(name), id=name) for name in ("jub.promise", "isp.promise", "laws.promise")),
+    *(
+        pytest.param(path.read_text(encoding="utf-8"), id=path.name)
+        for path in sorted((Path(__file__).parent / "golden").glob("*.promise"))
+    ),
+    *(pytest.param(offers(n), id=f"offers-{n}") for n in (2, 3)),
+]
+
+
 @pytest.fixture(scope="module")
 def ride_lts(ride):
     return build_lts(ride.model, Configuration(ride.entry, ride.initial_state))
@@ -106,6 +131,19 @@ class TestBuildLts:
             build_lts(ride.model, Configuration(ride.entry, ride.initial_state), node_limit=5)
         assert exc.value.partial is not None
         assert len(exc.value.partial.nodes) == 5
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["dyadic", "strict"])
+    @pytest.mark.parametrize("text", CANONICAL_CASES)
+    def test_every_edge_leads_to_the_node_itself(self, text, strict):
+        # each configuration is one object: an edge's ends are the very
+        # instances in ``nodes``, so lookups succeed by identity
+        scenario = parse_scenario(text, strict_conflicts=strict)
+        lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state))
+        canonical = {node: node for node in lts.nodes}
+        assert len(canonical) == len(lts.nodes)
+        for source, _, target in lts.edges:
+            assert canonical[source] is source
+            assert canonical[target] is target
 
 
 class TestMaximalTraces:
@@ -190,6 +228,20 @@ class TestMaximalTraces:
             State(frozenset({Promise(event.promiser, GAMMA, promisee)})) for event in events
         ]
         nodes = [Configuration(DONE, state) for state in nodes]
+        edges = tuple(zip(nodes, events, nodes[1:]))
+        traces = maximal_traces(Lts(nodes[0], tuple(nodes), edges))
+        assert traces == [Trace(tuple(events), Outcome.SUCCESSFUL)]
+
+    def test_longer_chain_is_walked_without_copying_prefixes(self):
+        # 20,000 edges: a walk that copied the event prefix at every node
+        # would make 200 million copies of events
+        length = 20_000
+        promisee = Agent("m")
+        events = [IntroduceEvent(Agent(f"n{i}"), GAMMA, promisee) for i in range(length)]
+        states = [EMPTY_STATE] + [
+            State(frozenset({Promise(event.promiser, GAMMA, promisee)})) for event in events
+        ]
+        nodes = [Configuration(DONE, state) for state in states]
         edges = tuple(zip(nodes, events, nodes[1:]))
         traces = maximal_traces(Lts(nodes[0], tuple(nodes), edges))
         assert traces == [Trace(tuple(events), Outcome.SUCCESSFUL)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from functools import reduce
 
 import pytest
@@ -35,6 +36,7 @@ from promisekit.process_algebra import (
     make_protocol,
     step,
 )
+from promisekit.explorer import transitions
 from promisekit.promise_state import EMPTY_STATE, Promise, PromiseModel, State, introduce
 from promisekit.task_algebra import GAMMA, all_bodies
 
@@ -251,7 +253,15 @@ DEEP_TERMS = st.recursive(
     _composites,
     max_leaves=3,
 )
+# long chains of each binary operator nested to the left, as parsed
+OPERATOR_CHAINS = st.recursive(
+    st.tuples(st.sampled_from([Seq, Alt, Par]), CHAINS).map(lambda chain: reduce(*chain)),
+    _composites,
+    max_leaves=3,
+)
 PROMISES = st.builds(Promise, AGENTS, BODIES, AGENTS)
+AGENTS_ALL = ORACLE_MODEL.agents
+BODIES_ALL = all_bodies(ORACLE_MODEL.atoms)
 
 
 class TestOracleAgreement:
@@ -267,3 +277,94 @@ class TestOracleAgreement:
         assert can_terminate(term) is _finished(term)
         for _, succ in moves:
             assert can_terminate(succ.term) is _finished(succ.term)
+
+    @settings(max_examples=60, deadline=None)
+    @given(OPERATOR_CHAINS, st.frozensets(PROMISES, max_size=6), st.booleans())
+    def test_step_matches_the_oracle_on_operator_chains(self, term, held, strict):
+        model = ORACLE_MODEL.with_strict_conflicts(strict)
+        assert step(model, Configuration(term, State(held))) == {
+            (event, Configuration(succ, State(after)))
+            for event, succ, after in _moves(model, term, held)
+        }
+        assert can_terminate(term) is _finished(term)
+
+    @settings(max_examples=80, deadline=None)
+    # a term in parallel with itself has every event twice, into
+    # different successors, so the order must fall back on them
+    @given(
+        st.one_of(DEEP_TERMS, DEEP_TERMS.map(lambda term: Par(term, term))),
+        st.frozensets(PROMISES, max_size=6),
+        st.booleans(),
+    )
+    def test_transitions_follow_the_rendered_order(self, term, held, strict):
+        model = ORACLE_MODEL.with_strict_conflicts(strict)
+        config = Configuration(term, State(held))
+
+        def key(move):
+            event, successor = move
+            return str(event), str(successor.term), str(successor.state)
+
+        moves = step(model, config)
+        found = transitions(model, config)
+        assert set(found) == moves and len(found) == len(moves)
+        assert [key(move) for move in found] == sorted(key(move) for move in moves)
+        # as an exploration calls it, with renderings kept between calls
+        from promisekit.explorer import _Renderings
+
+        texts = _Renderings()
+        assert transitions(model, config, texts) == found
+        assert transitions(model, config, texts) == found
+
+
+def _structure(term):
+    """A term as nested tuples of class names and field values: equality
+    by structure, without the terms' own ``__eq__``."""
+    if isinstance(term, (Act, Seq, Alt, Par, Guard)):
+        return (type(term).__name__, *(_structure(getattr(term, f.name)) for f in fields(term)))
+    return term
+
+
+def _rebuild(term):
+    """An equal copy that shares no composite part with ``term``."""
+    if isinstance(term, (Act, Seq, Alt, Par, Guard)):
+        return type(term)(*(_rebuild(getattr(term, f.name)) for f in fields(term)))
+    return term
+
+
+class TestTermEquality:
+    @settings(max_examples=50, deadline=None)
+    @given(DEEP_TERMS, DEEP_TERMS)
+    def test_equality_is_structural(self, term, other):
+        copy = _rebuild(term)
+        assert copy is not term or not isinstance(term, (Act, Seq, Alt, Par, Guard))
+        assert copy == term and hash(copy) == hash(term)
+        assert (term == other) is (_structure(term) == _structure(other))
+        assert (term != other) is (_structure(term) != _structure(other))
+
+    def test_a_shared_hash_does_not_make_terms_equal(self):
+        # forged collisions: every field is still compared
+        acts = [Act(IntroduceEvent(AGENTS_ALL[0], body, AGENTS_ALL[1])) for body in BODIES_ALL[:3]]
+        for term, other in [
+            (Seq(acts[0], acts[1]), Seq(acts[0], acts[2])),
+            (Seq(Seq(acts[0], acts[1]), acts[1]), Seq(Seq(acts[0], acts[2]), acts[1])),
+            (Seq(Seq(acts[0], acts[1]), acts[1]), Seq(Seq(acts[2], acts[1]), acts[1])),
+        ]:
+            object.__setattr__(other, "_hash", hash(term))
+            object.__setattr__(other.left, "_hash", hash(term.left))
+            assert term != other and other != term
+
+    def test_deep_sequences_compare_without_recursion(self):
+        # 5,000 operands, far beyond the interpreter's recursion limit
+        events = [IntroduceEvent(a, x, b) for a in AGENTS_ALL for b in AGENTS_ALL for x in BODIES_ALL]
+        events = [events[i % len(events)] for i in range(5_000)]
+
+        def chain(first=None):
+            acts = [Act(event) for event in events]
+            return reduce(Seq, [first or acts[0], *acts[1:]])
+
+        term = chain()
+        assert chain() == term
+        assert Configuration(chain(), EMPTY_STATE) == Configuration(term, EMPTY_STATE)
+        # differing only in the innermost operand
+        assert chain(DONE) != term
+        assert Alt(term.left, term.right) != term
