@@ -39,7 +39,6 @@ from .promise_state import (
     PromiseModel,
     State,
     SubordinationOrder,
-    has_promise,
     introduce,
     introduce_generalized,
     obligation_warnings,

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
+from typing import NoReturn
 
 from .process_algebra import (
     Act,
@@ -185,7 +187,7 @@ class _Stream:
         if tok is not None:
             raise ParseError(tok.line, tok.column, "end of line", repr(tok.value))
 
-    def fail(self, expected: str) -> None:
+    def fail(self, expected: str) -> NoReturn:
         tok = self.peek()
         if tok is None:
             raise ParseError(self.line, self.end_column, expected)
@@ -425,7 +427,73 @@ def _parse_promise_list(stream: _Stream, model: PromiseModel) -> list[Promise]:
 
 
 # ---------------------------------------------------------------------------
-# conditions
+# terms and conditions
+
+_TERM_OPERATORS = {cls.symbol: cls for cls in (Seq, Alt, Par)}
+_CONDITION_OPERATORS = {cls.symbol: cls for cls in (And, Or, Implies)}
+
+
+def _parse(stream: _Stream, operators: dict, prefix, primary):
+    """Precedence climbing over the operator table (Pratt, *Top down
+    operator precedence*, 1973). Operands wait on a stack of (binding,
+    builder) entries instead of recursing: a binary operator's builder
+    holds its left operand, a prefix's builder is read by ``prefix``, and
+    an open parenthesis is an entry that builds nothing. ``primary``
+    reads an operand without operators."""
+    pending: list = []
+    while True:
+        if stream.at_sym("("):
+            stream.advance()
+            pending.append((-1, None))
+            continue
+        entry = prefix(stream)
+        if entry is not None:
+            pending.append(entry)
+            continue
+        node = primary(stream)
+        while True:
+            tok = stream.peek()
+            op = operators.get(tok.value) if tok is not None else None
+            # build the pending entries that bind at least as tightly as the
+            # operator (more tightly, if it is right-associative); with no
+            # operator, all of them down to the innermost open parenthesis
+            least = -1 if op is None else op.binding + op.right_assoc
+            while pending and pending[-1][0] >= least and pending[-1][1] is not None:
+                node = pending.pop()[1](node)
+            if op is not None:
+                stream.advance()
+                pending.append((op.binding, partial(op, node)))
+                break
+            if not pending:
+                return node
+            stream.expect_sym(")")
+            pending.pop()
+
+
+def _parse_condition(stream: _Stream, model: PromiseModel) -> Condition:
+    bound: list[str] = []
+
+    def prefix(stream: _Stream):
+        if stream.at_name("not"):
+            stream.advance()
+            return Not.binding, Not
+        if not stream.at_name("forall"):
+            return None
+        stream.advance()
+        var = stream.expect_name("a quantifier variable").value
+        stream.expect_sym("!=")
+        excluding = _agent_ref(stream, model, bound)
+        stream.expect_sym(":")
+        bound.append(var)
+
+        def build(body: Condition) -> Condition:
+            bound.pop()
+            return ForAllAgents(var, excluding, body)
+
+        return ForAllAgents.binding, build
+
+    return _parse(stream, _CONDITION_OPERATORS, prefix, partial(_condition_primary, model=model, bound=bound))
+
 
 def _agent_ref(stream: _Stream, model: PromiseModel, bound: list[str]):
     tok = stream.expect_name("an agent or quantifier variable")
@@ -438,43 +506,7 @@ def _agent_ref(stream: _Stream, model: PromiseModel, bound: list[str]):
     )
 
 
-def _parse_condition(stream: _Stream, model: PromiseModel, bound: list[str]) -> Condition:
-    left = _parse_cond_or(stream, model, bound)
-    if stream.at_sym("=>"):
-        stream.advance()
-        return Implies(left, _parse_condition(stream, model, bound))
-    return left
-
-
-def _parse_cond_or(stream: _Stream, model: PromiseModel, bound: list[str]) -> Condition:
-    left = _parse_cond_and(stream, model, bound)
-    while stream.at_name("or"):
-        stream.advance()
-        left = Or(left, _parse_cond_and(stream, model, bound))
-    return left
-
-
-def _parse_cond_and(stream: _Stream, model: PromiseModel, bound: list[str]) -> Condition:
-    left = _parse_cond_not(stream, model, bound)
-    while stream.at_name("and"):
-        stream.advance()
-        left = And(left, _parse_cond_not(stream, model, bound))
-    return left
-
-
-def _parse_cond_not(stream: _Stream, model: PromiseModel, bound: list[str]) -> Condition:
-    if stream.at_name("not"):
-        stream.advance()
-        return Not(_parse_cond_not(stream, model, bound))
-    return _parse_cond_primary(stream, model, bound)
-
-
-def _parse_cond_primary(stream: _Stream, model: PromiseModel, bound: list[str]) -> Condition:
-    if stream.at_sym("("):
-        stream.advance()
-        cond = _parse_condition(stream, model, bound)
-        stream.expect_sym(")")
-        return cond
+def _condition_primary(stream: _Stream, model: PromiseModel, bound: list[str]) -> Condition:
     if stream.at_name("true"):
         stream.advance()
         return TRUE
@@ -497,72 +529,20 @@ def _parse_cond_primary(stream: _Stream, model: PromiseModel, bound: list[str]) 
         body = _parse_body(stream, model)
         stream.expect_sym(")")
         return IsExclusive(body)
-    if stream.at_name("forall"):
-        stream.advance()
-        var = stream.expect_name("a quantifier variable").value
-        stream.expect_sym("!=")
-        excluding = _agent_ref(stream, model, bound)
-        stream.expect_sym(":")
-        body = _parse_condition(stream, model, bound + [var])
-        return ForAllAgents(var, excluding, body)
     stream.fail("a condition")
-    raise AssertionError("unreachable")
 
 
-# ---------------------------------------------------------------------------
-# terms
-
-def _parse_term_stream(
-    stream: _Stream, model: PromiseModel, definitions: dict[str, ProcessTerm]
-) -> ProcessTerm:
-    try:
-        return _parse_par(stream, model, definitions)
-    except RecursionError:  # only nesting recurses: operator chains are loops
-        tok = stream.peek()
-        column = tok.column if tok else stream.end_column
-        raise ParseError(stream.line, column, "less deeply nested input") from None
+def _guard_prefix(stream: _Stream, model: PromiseModel):
+    if not stream.at_sym("["):
+        return None
+    stream.advance()
+    cond = _parse_condition(stream, model)
+    stream.expect_sym("]")
+    stream.expect_sym("->")
+    return Guard.binding, partial(Guard, cond)
 
 
-def _parse_par(stream, model, definitions) -> ProcessTerm:
-    left = _parse_alt(stream, model, definitions)
-    while stream.at_sym("||"):
-        stream.advance()
-        left = Par(left, _parse_alt(stream, model, definitions))
-    return left
-
-
-def _parse_alt(stream, model, definitions) -> ProcessTerm:
-    left = _parse_seq(stream, model, definitions)
-    while stream.at_sym("+"):
-        stream.advance()
-        left = Alt(left, _parse_seq(stream, model, definitions))
-    return left
-
-
-def _parse_seq(stream, model, definitions) -> ProcessTerm:
-    left = _parse_prefix(stream, model, definitions)
-    while stream.at_sym("."):
-        stream.advance()
-        left = Seq(left, _parse_prefix(stream, model, definitions))
-    return left
-
-
-def _parse_prefix(stream, model, definitions) -> ProcessTerm:
-    if stream.at_sym("["):
-        stream.advance()
-        cond = _parse_condition(stream, model, [])
-        stream.expect_sym("]")
-        stream.expect_sym("->")
-        return Guard(cond, _parse_prefix(stream, model, definitions))
-    return _parse_primary(stream, model, definitions)
-
-
-def _parse_primary(stream, model, definitions) -> ProcessTerm:
-    if stream.at_sym("("):
-        stream.advance()
-        term = _parse_par(stream, model, definitions)
-        stream.expect_sym(")")
-        return term
+def _term_primary(stream: _Stream, model: PromiseModel, definitions: dict[str, ProcessTerm]) -> ProcessTerm:
     if stream.at_name("delta"):
         stream.advance()
         return DEADLOCK
@@ -592,7 +572,17 @@ def _parse_primary(stream, model, definitions) -> ProcessTerm:
             f"line {tok.line}, column {tok.column}: unknown process {tok.value!r}"
         )
     stream.fail("a process term")
-    raise AssertionError("unreachable")
+
+
+def _parse_term_stream(
+    stream: _Stream, model: PromiseModel, definitions: dict[str, ProcessTerm]
+) -> ProcessTerm:
+    return _parse(
+        stream,
+        _TERM_OPERATORS,
+        partial(_guard_prefix, model=model),
+        partial(_term_primary, model=model, definitions=definitions),
+    )
 
 
 def parse_term(text: str, model: PromiseModel, definitions: dict[str, ProcessTerm] | None = None) -> ProcessTerm:

@@ -152,6 +152,22 @@ class FalseConst:
         return "false"
 
 
+class _Node(StoredHash):
+    """Terms, and the conditions made of other conditions: they nest to
+    any depth, so they store their hash, compare with an explicit stack,
+    and render with ``_render``. Each compound class carries its row of the operator
+    table: a binary operator's ``symbol``, ``binding`` and associativity,
+    or a prefix's ``binding``, which is also the least binding its
+    operand needs to go without parentheses."""
+
+    __slots__ = ()
+    nests = True
+    right_assoc = False
+
+    def __str__(self) -> str:
+        return _render(self)
+
+
 @dataclass(frozen=True, slots=True)
 class HasPromise:
     promiser: AgentRef
@@ -159,7 +175,7 @@ class HasPromise:
     promisee: AgentRef
 
     def __str__(self) -> str:
-        return _render_condition(self)[0]
+        return f"p({self.promiser}, {self.body}, {self.promisee})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,55 +183,56 @@ class IsExclusive:
     body: TaskBody
 
     def __str__(self) -> str:
-        return _render_condition(self)[0]
+        return f"E({self.body})"
 
 
 @dataclass(frozen=True, slots=True)
-class Not:
+class Not(_Node):
     operand: "Condition"
 
-    def __str__(self) -> str:
-        return _render_condition(self)[0]
+    binding = 4
+
+    def _pieces(self) -> tuple:
+        return "not ", (self.operand, self.binding)
 
 
 @dataclass(frozen=True, slots=True)
-class And:
+class And(_Node):
     left: "Condition"
     right: "Condition"
 
-    def __str__(self) -> str:
-        return _render_condition(self)[0]
+    symbol, binding = "and", 3
 
 
 @dataclass(frozen=True, slots=True)
-class Or:
+class Or(_Node):
     left: "Condition"
     right: "Condition"
 
-    def __str__(self) -> str:
-        return _render_condition(self)[0]
+    symbol, binding = "or", 2
 
 
 @dataclass(frozen=True, slots=True)
-class Implies:
+class Implies(_Node):
     left: "Condition"
     right: "Condition"
 
-    def __str__(self) -> str:
-        return _render_condition(self)[0]
+    symbol, binding, right_assoc = "=>", 1, True
 
 
 @dataclass(frozen=True, slots=True)
-class ForAllAgents:
+class ForAllAgents(_Node):
     """Conjunction of the body over every model agent except ``excluding``,
-    with the agent bound to ``var``."""
+    with the agent bound to ``var``. The body extends as far as it can."""
 
     var: str
     excluding: AgentRef
     body: "Condition"
 
-    def __str__(self) -> str:
-        return _render_condition(self)[0]
+    binding = 0
+
+    def _pieces(self) -> tuple:
+        return f"forall {self.var} != {self.excluding} : ", (self.body, self.binding)
 
 
 Condition = Union[
@@ -226,33 +243,32 @@ TRUE = TrueConst()
 FALSE = FalseConst()
 
 
-def _render_condition(cond: Condition) -> tuple[str, int]:
-    # minimal parentheses: implication is right-associative and binds
-    # loosest; quantifiers are parenthesized whenever they appear as an
-    # operand so their (maximal) body stays unambiguous
-    if isinstance(cond, (TrueConst, FalseConst)):
-        return str(cond), 5
-    if isinstance(cond, HasPromise):
-        return f"p({cond.promiser}, {cond.body}, {cond.promisee})", 5
-    if isinstance(cond, IsExclusive):
-        return f"E({cond.body})", 5
-    if isinstance(cond, Not):
-        return f"not {_cond_child(cond.operand, 4)}", 4
-    if isinstance(cond, And):
-        return f"{_cond_child(cond.left, 3)} and {_cond_child(cond.right, 4)}", 3
-    if isinstance(cond, Or):
-        return f"{_cond_child(cond.left, 2)} or {_cond_child(cond.right, 3)}", 2
-    if isinstance(cond, Implies):
-        return f"{_cond_child(cond.left, 2)} => {_cond_child(cond.right, 1)}", 1
-    if isinstance(cond, ForAllAgents):
-        body = _cond_child(cond.body, 0)
-        return f"forall {cond.var} != {cond.excluding} : {body}", 0
-    raise TypeError(f"not a condition: {cond!r}")
-
-
-def _cond_child(cond: Condition, min_prec: int) -> str:
-    text, prec = _render_condition(cond)
-    return f"({text})" if prec < min_prec else text
+def _render(node: "ProcessTerm | Condition") -> str:
+    """The text of a term or condition with the fewest parentheses: an
+    operand is parenthesized only when it binds less tightly than its
+    place needs. Pending strings and (node, least binding) items wait on
+    a stack, so that no recursion limit bounds the depth rendered."""
+    out: list[str] = []
+    pending: list = [(node, 0)]
+    while pending:
+        item = pending.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        node, least = item
+        binding = getattr(node, "binding", None)
+        if binding is None:  # a leaf
+            out.append(str(node))
+            continue
+        if binding < least:
+            out.append("(")
+            pending.append(")")
+        if symbol := getattr(node, "symbol", None):
+            shift = node.right_assoc
+            pending += (node.right, binding + 1 - shift), f" {symbol} ", (node.left, binding + shift)
+        else:
+            pending += reversed(node._pieces())
+    return "".join(out)
 
 
 class UnboundVariable(ValueError):
@@ -273,39 +289,50 @@ def eval_condition(
     state: State,
     env: dict[str, Agent] | None = None,
 ) -> bool:
-    """Evaluate a closed condition against a state."""
+    """Evaluate a closed condition against a state. ``and``, ``or``,
+    ``=>`` and ``forall`` stop at the operand that decides them; the
+    operators that wait for an operand's value are on a stack."""
     env = env or {}
-    if isinstance(cond, TrueConst):
-        return True
-    if isinstance(cond, FalseConst):
-        return False
-    if isinstance(cond, HasPromise):
-        promise = Promise(_resolve(cond.promiser, env), cond.body, _resolve(cond.promisee, env))
-        return promise in state
-    if isinstance(cond, IsExclusive):
-        return is_exclusive(model.exclusiveness, cond.body)
-    if isinstance(cond, Not):
-        return not eval_condition(model, cond.operand, state, env)
-    if isinstance(cond, And):
-        return eval_condition(model, cond.left, state, env) and eval_condition(
-            model, cond.right, state, env
-        )
-    if isinstance(cond, Or):
-        return eval_condition(model, cond.left, state, env) or eval_condition(
-            model, cond.right, state, env
-        )
-    if isinstance(cond, Implies):
-        return (not eval_condition(model, cond.left, state, env)) or eval_condition(
-            model, cond.right, state, env
-        )
-    if isinstance(cond, ForAllAgents):
-        excluded = _resolve(cond.excluding, env)
-        return all(
-            eval_condition(model, cond.body, state, {**env, cond.var: agent})
-            for agent in model.agents
-            if agent != excluded
-        )
-    raise TypeError(f"not a condition: {cond!r}")
+    waiting: list = []  # (operator, its env, the agents a forall has yet to try)
+    while True:
+        cls = cond.__class__
+        if cls is Not or cls is And or cls is Or or cls is Implies:
+            waiting.append((cond, env, None))
+            cond = cond.operand if cls is Not else cond.left
+            continue
+        if cls is HasPromise:
+            value = Promise(_resolve(cond.promiser, env), cond.body, _resolve(cond.promisee, env)) in state
+        elif cls is IsExclusive:
+            value = is_exclusive(model.exclusiveness, cond.body)
+        elif cls is TrueConst or cls is FalseConst:
+            value = cls is TrueConst
+        elif cls is ForAllAgents:
+            excluded = _resolve(cond.excluding, env)
+            waiting.append((cond, env, iter([agent for agent in model.agents if agent != excluded])))
+            value = True  # the conjunction over no agent tried so far
+        else:
+            raise TypeError(f"not a condition: {cond!r}")
+        # hand the value up until an operator needs its next operand
+        while waiting:
+            node, outer, agents = waiting[-1]
+            cls = node.__class__
+            if cls is ForAllAgents:
+                agent = next(agents, None) if value else None
+                if agent is not None:
+                    cond, env = node.body, {**outer, node.var: agent}
+                    break
+                waiting.pop()
+                continue
+            waiting.pop()
+            if cls is Not:
+                value = not value
+            elif value == (cls is not Or):  # the right operand decides
+                cond, env = node.right, outer
+                break
+            else:
+                value = cls is not And
+        else:
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +358,12 @@ class Deadlock:
         return "delta"
 
 
-class _Term(StoredHash):
+class _Term(_Node):
     """Terms with parts store their hash: exploration keeps configurations
     in sets, and recomputing a deep hash at every lookup would dominate."""
 
     __slots__ = ()
     terminates = False
-
-    def __str__(self) -> str:
-        return _render_term(self)[0]
 
 
 class _Binary(_Term):
@@ -347,9 +371,7 @@ class _Binary(_Term):
     children's stored values, so that no termination test walks a term."""
 
     __slots__ = ("terminates",)
-    chains = True
     either = False  # one terminating side suffices (choice)
-    symbol, binding = "", 0  # the operator, and how strongly it binds
 
     def __post_init__(self):
         StoredHash.__post_init__(self)
@@ -360,6 +382,9 @@ class _Binary(_Term):
 @dataclass(frozen=True, slots=True)
 class Act(_Term):
     event: Event
+
+    def __str__(self) -> str:
+        return str(self.event)
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,41 +414,21 @@ class Par(_Binary):
 
 @dataclass(frozen=True, slots=True)
 class Guard(_Term):
+    """The guard prefixes the smallest term to its right."""
+
     condition: Condition
     body: "ProcessTerm"
+
+    binding = 3
+
+    def _pieces(self) -> tuple:
+        return "[", (self.condition, 0), "] -> ", (self.body, self.binding)
 
 
 ProcessTerm = Union[Done, Deadlock, Act, Seq, Alt, Par, Guard]
 
 DONE = Done()
 DEADLOCK = Deadlock()
-
-
-def _render_term(term: ProcessTerm) -> tuple[str, int]:
-    # binding strength: `.` over `+` over `||`; guards prefix one operand;
-    # a chain of one operator down the left operands is a loop, so that
-    # any length renders
-    if isinstance(term, Done):
-        return "ok", 4
-    if isinstance(term, Deadlock):
-        return "delta", 4
-    if isinstance(term, Act):
-        return str(term.event), 4
-    if isinstance(term, _Binary):
-        kind, binding, joint = type(term), term.binding, f" {term.symbol} "
-        text = _term_child(term.right, binding + 1)
-        while isinstance(term.left, kind):
-            term = term.left
-            text = _term_child(term.right, binding + 1) + joint + text
-        return _term_child(term.left, binding) + joint + text, binding
-    if isinstance(term, Guard):
-        return f"[{term.condition}] -> {_term_child(term.body, 3)}", 3
-    raise TypeError(f"not a process term: {term!r}")
-
-
-def _term_child(term: ProcessTerm, min_prec: int) -> str:
-    text, prec = _render_term(term)
-    return f"({text})" if prec < min_prec else text
 
 
 @dataclass(frozen=True, slots=True)
@@ -453,34 +458,38 @@ def step(model: PromiseModel, config: Configuration) -> set[tuple[Event, Configu
 
 def _moves(model: PromiseModel, term: ProcessTerm, state: State) -> list[tuple[Event, ProcessTerm, State]]:
     """The transitions of ``step`` as (event, term, state), possibly
-    repeated. A chain of binary operators down the left operands (a
-    sequence's spine, a choice or interleaving of many operands) is walked
-    with a loop, from the innermost level out: each level combines the
-    moves so far with its right operand's."""
-    spine = []
-    while isinstance(term, _Binary):
-        spine.append(term)
-        term = term.left
-    if isinstance(term, Act):
-        moves = _act_moves(model, term.event, state)
-    elif isinstance(term, Guard):
-        moves = _moves(model, term.body, state) if eval_condition(model, term.condition, state) else []
-    elif isinstance(term, (Done, Deadlock)):
-        moves = []
-    else:
-        raise TypeError(f"not a process term: {term!r}")
-    for level in reversed(spine):
-        right = level.right
-        if isinstance(level, Seq):
-            moves = [(event, Seq(succ, right), after) for event, succ, after in moves]
-            if level.left.terminates:
-                moves += _moves(model, right, state)
-        elif isinstance(level, Alt):
-            moves += _moves(model, right, state)
-        else:
-            left = level.left
-            moves = [(event, Par(succ, right), after) for event, succ, after in moves]
-            moves += [(event, Par(left, succ), after) for event, succ, after in _moves(model, right, state)]
+    repeated, in no particular order. Each pending subterm carries the
+    operands that enclose it, as a chain of (class, sibling, whether the
+    subterm is the left operand, enclosing chain); an enabled action's
+    successor is rebuilt from that chain. A choice, a guard and a sequence
+    whose left side has terminated leave no trace in the successor."""
+    moves = []
+    pending: list = [(term, None)]
+    while pending:
+        term, context = pending.pop()
+        cls = term.__class__
+        if cls is Seq:
+            pending.append((term.left, (Seq, term.right, True, context)))
+            if term.left.terminates:
+                pending.append((term.right, context))
+        elif cls is Par:
+            pending.append((term.left, (Par, term.right, True, context)))
+            pending.append((term.right, (Par, term.left, False, context)))
+        elif cls is Alt:
+            pending.append((term.left, context))
+            pending.append((term.right, context))
+        elif cls is Act:
+            for event, succ, after in _act_moves(model, term.event, state):
+                enclosing = context
+                while enclosing is not None:
+                    kind, sibling, on_left, enclosing = enclosing
+                    succ = kind(succ, sibling) if on_left else kind(sibling, succ)
+                moves.append((event, succ, after))
+        elif cls is Guard:
+            if eval_condition(model, term.condition, state):
+                pending.append((term.body, context))
+        elif cls is not Done and cls is not Deadlock:
+            raise TypeError(f"not a process term: {term!r}")
     return moves
 
 

@@ -18,7 +18,7 @@ model so that every rule, the interpreter, and the explorer agree on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 from .task_algebra import (
@@ -51,7 +51,6 @@ __all__ = [
     "introduce",
     "pw_enabled",
     "withdraw",
-    "has_promise",
     "introduce_generalized",
     "obligation_warnings",
     "state_clashes",
@@ -130,6 +129,9 @@ class PromiseModel:
     incompatibility: IncompatibilityRelation
     exclusiveness: ExclusivenessRegistry
     strict_conflicts: bool = False
+    # name lookups, derived from ``agents`` and ``atoms``
+    _agents_by_name: Mapping[str, Agent] = field(init=False, repr=False, compare=False)
+    _atoms_by_name: Mapping[str, TaskAtom] = field(init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -144,41 +146,39 @@ class PromiseModel:
     ) -> "PromiseModel":
         """Build and validate a model. The compliance type and atom are
         injected automatically and may not be redeclared."""
-        agent_objs: list[Agent] = []
+        by_name: dict[str, Agent] = {}
         for name in agents:
             if not name:
                 raise ModelError("agent names must be nonempty")
-            if any(a.name == name for a in agent_objs):
+            if name in by_name:
                 raise ModelError(f"duplicate agent {name!r}")
-            agent_objs.append(Agent(name))
+            by_name[name] = Agent(name)
 
-        type_objs: list[TypeTag] = []
+        type_map: dict[str, TypeTag] = {}
         for name in types:
             if name == COMPLIANCE_TYPE.name:
                 raise ModelError(f"type {name!r} is reserved")
             if not name:
                 raise ModelError("type names must be nonempty")
-            if any(t.name == name for t in type_objs):
+            if name in type_map:
                 raise ModelError(f"duplicate type {name!r}")
-            type_objs.append(TypeTag(name))
-        all_types = tuple(type_objs) + (COMPLIANCE_TYPE,)
+            type_map[name] = TypeTag(name)
+        all_types = (*type_map.values(), COMPLIANCE_TYPE)
 
-        atom_objs: list[TaskAtom] = []
+        atom_map: dict[str, TaskAtom] = {}
         for name, type_name in (atoms or {}).items():
             if name == GAMMA_ATOM.name:
                 raise ModelError(f"atom {name!r} is reserved")
             if type_name == COMPLIANCE_TYPE.name:
                 raise ModelError(f"type {COMPLIANCE_TYPE.name!r} is reserved for the compliance atom")
-            if any(a.name == name for a in atom_objs):
+            if name in atom_map:
                 raise ModelError(f"duplicate atom {name!r}")
-            matching = [t for t in all_types if t.name == type_name]
-            if not matching:
+            if type_name not in type_map:
                 raise ModelError(f"atom {name!r} has unknown type {type_name!r}")
-            atom_objs.append(TaskAtom(name, matching[0]))
-        all_atoms = tuple(atom_objs) + (GAMMA_ATOM,)
-        atom_map = {a.name: a for a in all_atoms}
+            atom_map[name] = TaskAtom(name, type_map[type_name])
+        all_atoms = (*atom_map.values(), GAMMA_ATOM)
+        atom_map[GAMMA_ATOM.name] = GAMMA_ATOM
 
-        by_name = {a.name: a for a in agent_objs}
         order_pairs = []
         for low, high in subordination:
             if low not in by_name or high not in by_name:
@@ -194,7 +194,7 @@ class PromiseModel:
         )
         registry = ExclusivenessRegistry(frozenset(body(b) for b in exclusive))
         return cls(
-            agents=tuple(agent_objs),
+            agents=tuple(by_name.values()),
             order=order,
             types=all_types,
             atoms=all_atoms,
@@ -203,26 +203,23 @@ class PromiseModel:
             strict_conflicts=strict_conflicts,
         )
 
+    def __post_init__(self):
+        object.__setattr__(self, "_agents_by_name", {a.name: a for a in self.agents})
+        object.__setattr__(self, "_atoms_by_name", {a.name: a for a in self.atoms})
+
     def agent(self, name: str) -> Agent:
-        for a in self.agents:
-            if a.name == name:
-                return a
-        raise ModelError(f"unknown agent {name!r}")
+        if name not in self._agents_by_name:
+            raise ModelError(f"unknown agent {name!r}")
+        return self._agents_by_name[name]
 
     def has_agent(self, name: str) -> bool:
-        return any(a.name == name for a in self.agents)
-
-    def atom_map(self) -> dict[str, TaskAtom]:
-        return {a.name: a for a in self.atoms}
+        return name in self._agents_by_name
 
     def body(self, text: str) -> TaskBody:
-        return parse_body(text, self.atom_map())
+        return parse_body(text, self._atoms_by_name)
 
     def promise(self, promiser: str, body: str, promisee: str) -> "Promise":
         return Promise(self.agent(promiser), self.body(body), self.agent(promisee))
-
-    def with_strict_conflicts(self, flag: bool = True) -> "PromiseModel":
-        return replace(self, strict_conflicts=flag)
 
     def user_atoms(self) -> tuple[TaskAtom, ...]:
         return tuple(a for a in self.atoms if a != GAMMA_ATOM)
@@ -253,10 +250,6 @@ class GeneralizedPromise:
     body: TaskBody
     promisee: Agent
     beneficiary: Agent
-
-    @property
-    def basic(self) -> bool:
-        return self.promiser == self.performer and self.promisee == self.beneficiary
 
     def induced(self) -> Promise:
         """The basic promise the compliance rule produces."""
@@ -373,10 +366,6 @@ def withdraw(state: State, promise: Promise) -> State:
     if promise not in state:
         raise NotPresent(f"cannot withdraw absent promise {promise}")
     return State(state.promises - {promise})
-
-
-def has_promise(state: State, promiser: Agent, body: TaskBody, promisee: Agent) -> bool:
-    return Promise(promiser, body, promisee) in state
 
 
 def introduce_generalized(model: PromiseModel, state: State, gp: GeneralizedPromise) -> State:

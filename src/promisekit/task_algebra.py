@@ -55,42 +55,45 @@ class StoredHash:
     hash of the class and the fields is computed once, at construction."""
 
     __slots__ = ("_hash",)
-    chains = False  # the first of two or more fields may hold an instance of the class
+    nests = False  # fields may hold instances of nesting classes, to any depth
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # @dataclass generates a field-by-field __hash__ and __eq__ unless
         # the class defines them itself, so each subclass gets this __hash__,
-        # and each class that chains this __eq__, as its own
+        # and each nesting class this __eq__, as its own
         cls.__hash__ = StoredHash.__hash__
-        if cls.chains:
-            cls.__eq__ = StoredHash._chain_eq
+        if cls.nests:
+            cls.__eq__ = StoredHash._nested_eq
         if names := cls.__dict__.get("__annotations__"):
-            cls._fields = attrgetter(*names)
+            cls._fields = attrgetter("__class__", *names)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((type(self), self._fields(self))))
+        object.__setattr__(self, "_hash", hash(self._fields(self)))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def _chain_eq(self, other) -> bool:
-        """Equal fields, comparing the stored hashes first. A chain of the
-        class through the first field (a sequence's left spine) is walked
-        with a loop, so that no recursion limit bounds its length."""
-        cls = self.__class__
-        if other.__class__ is not cls:
+    def _nested_eq(self, other) -> bool:
+        """Same class and equal fields, comparing the stored hashes first.
+        Pairs of nested parts wait on a stack instead of recursing, so
+        that no recursion limit bounds the depth of what is compared."""
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        a, b = self, other
-        while a is not b:
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
             if a._hash != b._hash:
                 return False
-            mine, theirs = a._fields(a), b._fields(b)
-            if mine[1:] != theirs[1:]:
-                return False
-            a, b = mine[0], theirs[0]
-            if a.__class__ is not cls or b.__class__ is not cls:
-                return a == b
+            for x, y in zip(a._fields(a), b._fields(b)):
+                if x is y:
+                    continue
+                if x.__class__ is not y.__class__:
+                    return False
+                if getattr(x, "nests", False):
+                    pending.append((x, y))
+                elif x != y:
+                    return False
         return True
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -204,7 +205,7 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_strict_mode_divergence():
     with criterion(6, "strict-conflict divergence"):
         scenario = parse_scenario(corpus_text("jub.promise"))
-        strict = scenario.model.with_strict_conflicts()
+        strict = replace(scenario.model, strict_conflicts=True)
         events = tuple(parse_trace(corpus_text("jub_trace.txt"), scenario.model))
         verdict = verify_trace(
             strict, Configuration(scenario.entry, scenario.initial_state), events

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from promisekit.corpus import corpus_path
+from promisekit.dsl import parse_scenario, parse_term
 
 from helpers import run_cli
 
@@ -346,13 +347,84 @@ class TestLongSequences:
         assert (code, err) == (0, "")
         assert out.splitlines()[:2] == ["pi(s, g, c)", f"outcome: {outcome}"]
 
-    def test_check_rejects_deep_nesting_in_one_line(self, tmp_path):
-        # long operator chains parse at any length; nesting is what recurses
+    def test_check_accepts_deep_nesting_in_one_line(self, tmp_path):
+        # nesting is parsed with a stack, like long operator chains
         scenario = tmp_path / "nested.promise"
         term = "(" * 300 + "pi(s, g, c)" + ")" * 300
         scenario.write_text(f"agent s c\ntype t\ntask g : t\nrun {term}\n", encoding="utf-8")
         code, out, err = run_cli(["check", str(scenario)])
-        assert (code, out) == (1, "")
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"error: {scenario}: line 4, column ")
-        assert "expected less deeply nested input" in err
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "ok"
+
+
+HEAD = "agent s c\ntype t\ntask g : t\n"
+
+
+def _definitions(first: str, line) -> str:
+    """A scenario that runs ``d1499``: ``def d0 = FIRST``, then each
+    ``def d<i>`` is ``line(i)``, a short line that uses ``d<i-1>``."""
+    lines = [f"def d0 = {first}", *(f"def d{i} = {line(i)}" for i in range(1, 1_500))]
+    return HEAD + "\n".join(lines) + "\nrun d1499\n"
+
+
+# one input per kind of nesting, each far deeper than the interpreter's recursion limit
+CONDITION = "".join(
+    ("not (", "p(s, g, c) or (", "true and (", "not p(s, g, c) => (", "forall v != c : (")[i % 5]
+    for i in range(5_000)
+)
+DEEP_INPUTS = {
+    "parentheses": "(" * 10_000 + "pi(s, g, c)" + ")" * 10_000,
+    "guards": "[true] -> " * 10_000 + "pi(s, g, c)",
+    "condition": f"[{CONDITION}true{')' * 5_000}] -> pi(s, g, c)",
+    "operators": "".join(f"pi(s, g, c) {('.', '+', '||')[i % 3]} (" for i in range(5_000))
+    + "pi(s, g, c)"
+    + ")" * 5_000,
+}
+
+
+class TestDeepNesting:
+    """Nesting depth is bounded by the node limit, not by the interpreter's
+    recursion limit: each command's walks over terms and conditions use
+    explicit stacks."""
+
+    def test_guard_chain_built_from_definitions(self, tmp_path):
+        scenario = tmp_path / "guards.promise"
+        scenario.write_text(_definitions("pi(s, g, c)", lambda i: f"[true] -> d{i - 1}"), encoding="utf-8")
+        code, out, err = run_cli(["explore", str(scenario), "--format", "json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["nodes"], report["edges"]) == (2, 1)
+        assert report["traces"] == [{"events": ["pi(s, g, c)"], "outcome": "successful"}]
+        code, out, err = run_cli(["run", str(scenario)])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["pi(s, g, c)", "outcome: successful"]
+
+    def test_alternating_chain_built_from_definitions(self, tmp_path):
+        scenario = tmp_path / "alternating.promise"
+        text = _definitions("pw(s, g, c)", lambda i: f"d{i - 1} {'.' if i % 2 else '+'} pw(s, g, c)")
+        scenario.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["explore", str(scenario), "--format", "json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["nodes"] == 1
+        [deadlock] = report["deadlocks"]
+        parsed = parse_scenario(text)
+        assert parse_term(deadlock["term"], parsed.model) == parsed.entry
+
+    @pytest.mark.parametrize("name", DEEP_INPUTS)
+    def test_every_command_takes_deep_input(self, tmp_path, name):
+        scenario, trace = tmp_path / "deep.promise", tmp_path / "deep.txt"
+        scenario.write_text(f"{HEAD}run {DEEP_INPUTS[name]}\n", encoding="utf-8")
+        trace.write_text("pi(s, g, c)\n", encoding="utf-8")
+        code, out, err = run_cli(["check", str(scenario)])
+        assert (code, err, out.splitlines()[-1]) == (0, "", "ok")
+        code, out, err = run_cli(["explore", str(scenario), "--node-limit", "50"])
+        if name == "operators":
+            assert (code, out, err) == (2, "", "error: node limit of 50 exceeded\n")
+        else:
+            assert (code, err) == (0, "")
+            assert out.splitlines()[:3] == ["nodes: 2", "edges: 1", "traces: 1"]
+        code, out, err = run_cli(["run", str(scenario)])
+        assert (code, err, out.splitlines()[0]) == (0, "", "pi(s, g, c)")
+        code, out, err = run_cli(["verify-trace", str(scenario), "--trace", str(trace)])
+        assert (code, err, out.splitlines()[0]) == (0, "", "accepted")

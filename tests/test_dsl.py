@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from promisekit.corpus import corpus_text
 from promisekit.dsl import (
@@ -35,7 +38,8 @@ from promisekit.process_algebra import (
 )
 from promisekit.promise_state import EMPTY_STATE, PromiseModel, State
 
-from scenario_gen import random_scenario_text
+from reference_render import render_condition, render_term
+from scenario_gen import _random_condition, _random_term, random_scenario_text
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +309,56 @@ class TestRendering:
         for text in texts:
             term = parse_term(text, plain_model)
             assert parse_term(str(term), plain_model) == term
+
+
+GEN_MODEL = PromiseModel.create(
+    agents=("a", "b", "c"), types=("t",), atoms={"x": "t", "y": "t"}
+)
+
+
+class TestOneOperatorTable:
+    """The table-driven parser and renderer against the recursive renderer
+    they replaced (``tests/reference_render.py``), on random terms and
+    conditions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 6))
+    def test_terms_render_and_parse_back(self, rng, depth):
+        term = _random_term(rng, GEN_MODEL, depth)
+        text = str(term)
+        assert text == render_term(term)
+        assert parse_term(text, GEN_MODEL) == term
+        assert parse_term(render_term(term, random.Random(rng.random())), GEN_MODEL) == term
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 7))
+    def test_conditions_render_and_parse_back(self, rng, depth):
+        cond = _random_condition(rng, GEN_MODEL, depth)
+        text = str(cond)
+        assert text == render_condition(cond)
+        guarded = Guard(cond, DEADLOCK)
+        assert parse_term(f"[{text}] -> delta", GEN_MODEL) == guarded
+        redundant = render_condition(cond, random.Random(rng.random()))
+        assert parse_term(f"[{redundant}] -> delta", GEN_MODEL) == guarded
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 10_000 + "pi(a, x, b)" + ")" * 10_000,
+            "[true] -> " * 10_000 + "pi(a, x, b)",
+            "[" + "not (true and " * 5_000 + "p(a, x, b)" + ")" * 5_000 + "] -> delta",
+            "pi(a, x, b) . (delta + (pi(b, y, a) || " * 2_000 + "ok" + "))" * 2_000,
+            "[" + "forall v != a : " * 5_000 + "p(v, x, b) => false] -> delta",
+        ],
+        ids=["parentheses", "guards", "condition", "operators", "quantifiers"],
+    )
+    def test_deep_input_parses_and_renders(self, text):
+        term = parse_term(text, GEN_MODEL)
+        rendered = str(term)
+        again = parse_term(rendered, GEN_MODEL)
+        assert again == term and hash(again) == hash(term) and str(again) == rendered
+        # every text but the parenthesized one is canonical
+        assert rendered == ("pi(a, x, b)" if text.startswith("(") else text)
 
 
 class TestTraceFiles:

@@ -8,6 +8,7 @@ recursive enumerator in sos_oracle.
 from __future__ import annotations
 
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -331,7 +332,7 @@ class TestVerifyTrace:
         }
 
     def test_strict_mode_rejects_the_decline(self, ride, ride_events):
-        strict = ride.model.with_strict_conflicts()
+        strict = replace(ride.model, strict_conflicts=True)
         verdict = verify_trace(strict, Configuration(ride.entry, ride.initial_state), ride_events)
         assert isinstance(verdict, Rejected)
         assert verdict.index == 3
@@ -406,7 +407,7 @@ class TestInvariantsAndDeadlocks:
         )
         lts = Lts(bad, (bad,), ())
         assert check_invariants(ride_model, lts) == []
-        violations = check_invariants(ride_model.with_strict_conflicts(), lts)
+        violations = check_invariants(replace(ride_model, strict_conflicts=True), lts)
         assert [v.kind for v in violations] == ["conflict"]
 
     def test_failed_guard_deadlocks(self, ride_model):
@@ -422,7 +423,7 @@ class TestInvariantsAndDeadlocks:
         assert find_deadlocks(lts) == [initial]
 
     def test_strict_mode_introduces_deadlocks(self, ride):
-        strict = ride.model.with_strict_conflicts()
+        strict = replace(ride.model, strict_conflicts=True)
         lts = build_lts(strict, Configuration(ride.entry, ride.initial_state))
         assert check_invariants(strict, lts) == []
         assert len(find_deadlocks(lts)) > 0

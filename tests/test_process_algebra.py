@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+import random
+from dataclasses import fields, replace
 from functools import reduce
 
 import pytest
@@ -12,6 +13,7 @@ from promisekit.process_algebra import (
     Act,
     AgentVar,
     Alt,
+    And,
     Configuration,
     DEADLOCK,
     DONE,
@@ -25,6 +27,7 @@ from promisekit.process_algebra import (
     InvalidBody,
     IsExclusive,
     Not,
+    Or,
     Par,
     Seq,
     TRUE,
@@ -40,7 +43,8 @@ from promisekit.explorer import transitions
 from promisekit.promise_state import EMPTY_STATE, Promise, PromiseModel, State, introduce
 from promisekit.task_algebra import GAMMA, all_bodies
 
-from sos_oracle import _finished, _moves
+from scenario_gen import _random_condition, _random_term
+from sos_oracle import _eval, _finished, _moves
 
 
 def accept_guard(model, initiator):
@@ -268,7 +272,7 @@ class TestOracleAgreement:
     @settings(max_examples=150, deadline=None)
     @given(DEEP_TERMS, st.frozensets(PROMISES, max_size=6), st.booleans())
     def test_step_and_termination_match_the_oracle(self, term, held, strict):
-        model = ORACLE_MODEL.with_strict_conflicts(strict)
+        model = replace(ORACLE_MODEL, strict_conflicts=strict)
         moves = step(model, Configuration(term, State(held)))
         assert moves == {
             (event, Configuration(succ, State(after)))
@@ -281,7 +285,7 @@ class TestOracleAgreement:
     @settings(max_examples=60, deadline=None)
     @given(OPERATOR_CHAINS, st.frozensets(PROMISES, max_size=6), st.booleans())
     def test_step_matches_the_oracle_on_operator_chains(self, term, held, strict):
-        model = ORACLE_MODEL.with_strict_conflicts(strict)
+        model = replace(ORACLE_MODEL, strict_conflicts=strict)
         assert step(model, Configuration(term, State(held))) == {
             (event, Configuration(succ, State(after)))
             for event, succ, after in _moves(model, term, held)
@@ -297,7 +301,7 @@ class TestOracleAgreement:
         st.booleans(),
     )
     def test_transitions_follow_the_rendered_order(self, term, held, strict):
-        model = ORACLE_MODEL.with_strict_conflicts(strict)
+        model = replace(ORACLE_MODEL, strict_conflicts=strict)
         config = Configuration(term, State(held))
 
         def key(move):
@@ -316,19 +320,27 @@ class TestOracleAgreement:
         assert transitions(model, config, texts) == found
 
 
-def _structure(term):
-    """A term as nested tuples of class names and field values: equality
-    by structure, without the terms' own ``__eq__``."""
-    if isinstance(term, (Act, Seq, Alt, Par, Guard)):
-        return (type(term).__name__, *(_structure(getattr(term, f.name)) for f in fields(term)))
-    return term
+NESTING = (Act, Seq, Alt, Par, Guard, Not, And, Or, Implies, ForAllAgents)
 
 
-def _rebuild(term):
-    """An equal copy that shares no composite part with ``term``."""
-    if isinstance(term, (Act, Seq, Alt, Par, Guard)):
-        return type(term)(*(_rebuild(getattr(term, f.name)) for f in fields(term)))
-    return term
+def _structure(node):
+    """A term or condition as nested tuples of class names and field
+    values: equality by structure, without the nodes' own ``__eq__``."""
+    if isinstance(node, NESTING):
+        return (type(node).__name__, *(_structure(getattr(node, f.name)) for f in fields(node)))
+    return node
+
+
+def _rebuild(node):
+    """An equal copy that shares no composite part with ``node``."""
+    if isinstance(node, NESTING):
+        return type(node)(*(_rebuild(getattr(node, f.name)) for f in fields(node)))
+    return node
+
+
+def _random_terms(seeds):
+    # few seeds and shallow terms, so that equal pairs are common
+    return st.builds(lambda seed: _random_term(random.Random(seed), ORACLE_MODEL, 1 + seed % 4), seeds)
 
 
 class TestTermEquality:
@@ -368,3 +380,54 @@ class TestTermEquality:
         # differing only in the innermost operand
         assert chain(DONE) != term
         assert Alt(term.left, term.right) != term
+
+    @settings(max_examples=100, deadline=None)
+    @given(_random_terms(st.integers(0, 40)), _random_terms(st.integers(0, 40)))
+    def test_equality_with_guards_is_structural(self, term, other):
+        # random guards carry random conditions, which compare the same way
+        copy = _rebuild(term)
+        assert copy == term and hash(copy) == hash(term)
+        assert (term == other) is (_structure(term) == _structure(other))
+        assert (term != other) is (_structure(term) != _structure(other))
+
+    def test_a_shared_hash_does_not_make_conditions_equal(self):
+        a, b = AGENTS_ALL[:2]
+        held = [HasPromise(a, body, b) for body in BODIES_ALL[:3]]
+        act = Act(IntroduceEvent(a, BODIES_ALL[0], b))
+        for cond, other in [
+            (And(held[0], held[1]), And(held[0], held[2])),
+            (Implies(held[0], Not(held[1])), Implies(held[0], Not(held[2]))),
+            (ForAllAgents("v", a, held[0]), ForAllAgents("w", a, held[0])),
+            (ForAllAgents("v", a, held[0]), ForAllAgents("v", b, held[0])),
+            (Or(held[0], held[1]), Or(held[0], Not(held[1]))),
+        ]:
+            for node, forged in [(cond, other), (Guard(cond, act), Guard(other, act))]:
+                object.__setattr__(forged, "_hash", hash(node))
+                if isinstance(forged, Guard):
+                    object.__setattr__(forged.condition, "_hash", hash(node.condition))
+                assert node != forged and forged != node
+
+    def test_deep_conditions_compare_without_recursion(self):
+        def chain(leaf):
+            cond = leaf
+            for i in range(5_000):
+                cond = (Not(cond), And(TRUE, cond), ForAllAgents("v", AGENTS_ALL[0], cond))[i % 3]
+            return Guard(cond, DONE)
+
+        assert chain(TRUE) == chain(TRUE) and hash(chain(TRUE)) == hash(chain(TRUE))
+        assert chain(TRUE) != chain(FALSE)
+
+
+class TestConditionOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 7), st.frozensets(PROMISES, max_size=6))
+    def test_eval_condition_matches_the_oracle(self, rng, depth, held):
+        cond = _random_condition(rng, ORACLE_MODEL, depth)
+        assert eval_condition(ORACLE_MODEL, cond, State(held)) is _eval(ORACLE_MODEL, cond, held, {})
+
+    def test_deep_conditions_evaluate_without_recursion(self):
+        cond = TRUE
+        for i in range(5_000):
+            cond = (Not(cond), Or(FALSE, cond), Implies(TRUE, cond))[i % 3]
+        # 1,667 negations of true
+        assert eval_condition(ORACLE_MODEL, cond, EMPTY_STATE) is False

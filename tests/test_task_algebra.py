@@ -35,6 +35,7 @@ MODEL = PromiseModel.create(
     atoms={"train": "travel", "car": "travel", "pizza": "food"},
     incompatible_pairs=[("train", "car")],
 )
+ATOMS = {atom.name: atom for atom in MODEL.atoms}
 BODIES = all_bodies(MODEL.atoms)
 bodies = st.sampled_from(BODIES)
 
@@ -91,14 +92,14 @@ class TestModifierLaws:
 
 class TestBodySyntax:
     def test_prefixes(self):
-        atoms = MODEL.atom_map()
+        atoms = ATOMS
         assert parse_body("train", atoms) == TaskBody(atoms["train"])
         assert parse_body("~train", atoms) == TaskBody(atoms["train"], usage=True)
         assert parse_body("!train", atoms) == TaskBody(atoms["train"], negated=True)
         assert parse_body("!~train", atoms) == TaskBody(atoms["train"], True, True)
 
     def test_prefixes_self_cancel(self):
-        atoms = MODEL.atom_map()
+        atoms = ATOMS
         assert parse_body("!!train", atoms) == parse_body("train", atoms)
         assert parse_body("~~train", atoms) == parse_body("train", atoms)
         assert parse_body("!~!~train", atoms) == parse_body("train", atoms)
@@ -111,7 +112,7 @@ class TestBodySyntax:
 
     def test_unknown_atom(self):
         with pytest.raises(UnknownAtom):
-            parse_body("bus", MODEL.atom_map())
+            parse_body("bus", ATOMS)
 
 
 class TestIncompatibility:
@@ -150,7 +151,7 @@ class TestIncompatibility:
         assert incompatibility_law_violations(MODEL.atoms, MODEL.incompatibility) == []
 
     def test_closure_is_order_insensitive(self):
-        atoms = MODEL.atom_map()
+        atoms = ATOMS
         pairs = [
             (parse_body("train", atoms), parse_body("car", atoms)),
             (parse_body("~train", atoms), parse_body("~car", atoms)),
@@ -160,26 +161,26 @@ class TestIncompatibility:
         assert forward.pairs == backward.pairs
 
     def test_redundant_axiom_declaration_is_absorbed(self):
-        atoms = MODEL.atom_map()
+        atoms = ATOMS
         x = parse_body("train", atoms)
         rel = build_incompatibility(MODEL.atoms, [(x, negate(x))])
         assert incompatibility_law_violations(MODEL.atoms, rel) == []
 
     def test_type_mismatch(self):
-        atoms = MODEL.atom_map()
+        atoms = ATOMS
         with pytest.raises(TypeMismatch):
             build_incompatibility(
                 MODEL.atoms, [(parse_body("train", atoms), parse_body("pizza", atoms))]
             )
 
     def test_reflexive_declaration(self):
-        atoms = MODEL.atom_map()
+        atoms = ATOMS
         x = parse_body("train", atoms)
         with pytest.raises(ReflexiveDeclaration):
             build_incompatibility(MODEL.atoms, [(x, x)])
 
     def test_negation_conflict(self):
-        atoms = MODEL.atom_map()
+        atoms = ATOMS
         x, y = parse_body("train", atoms), parse_body("car", atoms)
         with pytest.raises(NegationConflict):
             build_incompatibility(MODEL.atoms, [(x, y), (x, negate(y))])
@@ -189,7 +190,7 @@ class TestIncompatibility:
             build_incompatibility(MODEL.atoms, [(GAMMA, usage(GAMMA))])
 
     def test_usage_forms_may_be_declared(self):
-        atoms = MODEL.atom_map()
+        atoms = ATOMS
         rel = build_incompatibility(
             MODEL.atoms, [(parse_body("~train", atoms), parse_body("~car", atoms))]
         )
