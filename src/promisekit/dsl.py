@@ -312,13 +312,13 @@ def parse_scenario(text: str, strict_conflicts: bool = False) -> Scenario:
     except (ModelError, IncompatibilityError, UnknownAtom) as err:
         raise ValidationError(str(err)) from err
 
-    definitions: list[tuple[str, ProcessTerm]] = []
+    definitions: dict[str, ProcessTerm] = {}
     for lineno, name, stream in defs:
-        if any(existing == name for existing, _ in definitions):
+        if name in definitions:
             raise ValidationError(f"line {lineno}: duplicate definition {name!r}")
-        term = _parse_term_stream(stream, model, dict(definitions))
+        term = _parse_term_stream(stream, model, definitions)
         stream.expect_end()
-        definitions.append((name, term))
+        definitions[name] = term
 
     initial_state = EMPTY_STATE
     if init_streams:
@@ -333,12 +333,12 @@ def parse_scenario(text: str, strict_conflicts: bool = False) -> Scenario:
     if run_stream is None:
         raise ValidationError("missing run directive")
     lineno, stream = run_stream
-    entry = _parse_term_stream(stream, model, dict(definitions))
+    entry = _parse_term_stream(stream, model, definitions)
     stream.expect_end()
 
     return Scenario(
         model=model,
-        definitions=tuple(definitions),
+        definitions=tuple(definitions.items()),
         entry=entry,
         initial_state=initial_state,
     )
@@ -434,12 +434,14 @@ _CONDITION_OPERATORS = {cls.symbol: cls for cls in (And, Or, Implies)}
 
 
 def _parse(stream: _Stream, operators: dict, prefix, primary):
-    """Precedence climbing over the operator table (Pratt, *Top down
-    operator precedence*, 1973). Operands wait on a stack of (binding,
-    builder) entries instead of recursing: a binary operator's builder
-    holds its left operand, a prefix's builder is read by ``prefix``, and
-    an open parenthesis is an entry that builds nothing. ``primary``
-    reads an operand without operators."""
+    """Precedence climbing over an operator table (Pratt, *Top down
+    operator precedence*, 1973), for terms and conditions alike.
+    ``operators`` maps a binary operator's token to its class; ``prefix``
+    reads a prefix and returns its (binding, builder) entry, or None;
+    ``primary`` reads an operand without operators. Entries wait on a
+    stack instead of recursing: a binary operator's builder holds its
+    left operand, and an open parenthesis is an entry that builds
+    nothing."""
     pending: list = []
     while True:
         if stream.at_sym("("):

@@ -154,11 +154,12 @@ class FalseConst:
 
 class _Node(StoredHash):
     """Terms, and the conditions made of other conditions: they nest to
-    any depth, so they store their hash, compare with an explicit stack,
-    and render with ``_render``. Each compound class carries its row of the operator
-    table: a binary operator's ``symbol``, ``binding`` and associativity,
-    or a prefix's ``binding``, which is also the least binding its
-    operand needs to go without parentheses."""
+    any depth, so they store their hash, compare with an explicit stack
+    and render with ``_render``. Each compound class carries its row of
+    the operator table: a binary operator's ``symbol``, ``binding`` and
+    associativity, or a prefix's ``binding``, which is also the least
+    binding its operand needs to go without parentheses. Prefixes
+    override ``_pieces``."""
 
     __slots__ = ()
     nests = True
@@ -166,6 +167,12 @@ class _Node(StoredHash):
 
     def __str__(self) -> str:
         return _render(self)
+
+    def _pieces(self) -> tuple:
+        """A binary operator's text, in order: strings, and (operand,
+        least binding it needs to go without parentheses) pairs."""
+        shift = self.right_assoc
+        return (self.left, self.binding + shift), f" {self.symbol} ", (self.right, self.binding + 1 - shift)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,11 +270,7 @@ def _render(node: "ProcessTerm | Condition") -> str:
         if binding < least:
             out.append("(")
             pending.append(")")
-        if symbol := getattr(node, "symbol", None):
-            shift = node.right_assoc
-            pending += (node.right, binding + 1 - shift), f" {symbol} ", (node.left, binding + shift)
-        else:
-            pending += reversed(node._pieces())
+        pending += reversed(node._pieces())
     return "".join(out)
 
 
@@ -359,8 +362,9 @@ class Deadlock:
 
 
 class _Term(_Node):
-    """Terms with parts store their hash: exploration keeps configurations
-    in sets, and recomputing a deep hash at every lookup would dominate."""
+    """Terms with parts store their hash (see ``_Node``): exploration keeps
+    configurations in sets, and recomputing a deep hash at every lookup
+    would dominate."""
 
     __slots__ = ()
     terminates = False

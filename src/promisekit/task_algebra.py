@@ -51,8 +51,9 @@ __all__ = [
 
 class StoredHash:
     """Base of the frozen, slotted dataclasses that are hashed far more
-    often than built (task bodies, events, terms, configurations): the
-    hash of the class and the fields is computed once, at construction."""
+    often than built (task bodies, events, terms, conditions,
+    configurations): the hash of the class and the fields is computed
+    once, at construction."""
 
     __slots__ = ("_hash",)
     nests = False  # fields may hold instances of nesting classes, to any depth

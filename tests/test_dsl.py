@@ -233,6 +233,15 @@ class TestTermSyntax:
             HasPromise(plain_model.agent("b"), plain_model.body("x"), AgentVar("c")),
         )
 
+    def test_forall_binds_only_its_body(self, plain_model):
+        # outside the parentheses that close the body, c names the agent again
+        term = parse_term("[(forall c != a : p(b, x, c)) and p(b, x, c)] -> delta", plain_model)
+        assert term.condition.right == HasPromise(
+            plain_model.agent("b"), plain_model.body("x"), plain_model.agent("c")
+        )
+        with pytest.raises(ValidationError, match="unknown agent 'v'"):
+            parse_term("[(forall v != a : p(b, x, v)) or p(b, x, v)] -> delta", plain_model)
+
     def test_delegated_event_round_trip(self, plain_model):
         term = parse_term("pi(a[b], x, c[a])", plain_model)
         event = term.event
