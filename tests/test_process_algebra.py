@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import fields, replace
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -408,10 +408,12 @@ class TestTermEquality:
                 assert node != forged and forged != node
 
     def test_deep_conditions_compare_without_recursion(self):
+        wraps = (Not, partial(And, TRUE), partial(ForAllAgents, "v", AGENTS_ALL[0]))
+
         def chain(leaf):
             cond = leaf
             for i in range(5_000):
-                cond = (Not(cond), And(TRUE, cond), ForAllAgents("v", AGENTS_ALL[0], cond))[i % 3]
+                cond = wraps[i % 3](cond)
             return Guard(cond, DONE)
 
         assert chain(TRUE) == chain(TRUE) and hash(chain(TRUE)) == hash(chain(TRUE))
@@ -426,8 +428,9 @@ class TestConditionOracle:
         assert eval_condition(ORACLE_MODEL, cond, State(held)) is _eval(ORACLE_MODEL, cond, held, {})
 
     def test_deep_conditions_evaluate_without_recursion(self):
+        wraps = (Not, partial(Or, FALSE), partial(Implies, TRUE))
         cond = TRUE
         for i in range(5_000):
-            cond = (Not(cond), Or(FALSE, cond), Implies(TRUE, cond))[i % 3]
+            cond = wraps[i % 3](cond)
         # 1,667 negations of true
         assert eval_condition(ORACLE_MODEL, cond, EMPTY_STATE) is False
