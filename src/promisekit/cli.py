@@ -116,10 +116,16 @@ def _load_scenario(args: argparse.Namespace) -> Scenario | None:
         return None
 
 
-def _generalized_events(term: ProcessTerm):
-    stack = [term]
+def _generalized_events(terms: list[ProcessTerm]):
+    """The delegated events of the terms. Definitions share their
+    subterms, so each distinct subterm object is visited once."""
+    stack = list(terms)
+    seen: set[int] = set()  # ids: the terms keep their subterms alive
     while stack:
         term = stack.pop()
+        if id(term) in seen:
+            continue
+        seen.add(id(term))
         if isinstance(term, Act):
             if isinstance(term.event, GeneralizedIntroduceEvent):
                 yield term.event
@@ -148,8 +154,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     warnings = sorted(
         {
             str(w)
-            for term in terms
-            for event in _generalized_events(term)
+            for event in _generalized_events(terms)
             for w in obligation_warnings(model, event_promise(event))
         }
     )

@@ -473,7 +473,7 @@ def _parse(stream: _Stream, operators: dict, prefix, primary):
 
 
 def _parse_condition(stream: _Stream, model: PromiseModel) -> Condition:
-    bound: list[str] = []
+    bound: dict[str, int] = {}  # each quantifier variable in scope, with how many bind it
 
     def prefix(stream: _Stream):
         if stream.at_name("not"):
@@ -486,10 +486,12 @@ def _parse_condition(stream: _Stream, model: PromiseModel) -> Condition:
         stream.expect_sym("!=")
         excluding = _agent_ref(stream, model, bound)
         stream.expect_sym(":")
-        bound.append(var)
+        bound[var] = bound.get(var, 0) + 1
 
         def build(body: Condition) -> Condition:
-            bound.pop()
+            bound[var] -= 1
+            if not bound[var]:
+                del bound[var]
             return ForAllAgents(var, excluding, body)
 
         return ForAllAgents.binding, build
@@ -497,7 +499,7 @@ def _parse_condition(stream: _Stream, model: PromiseModel) -> Condition:
     return _parse(stream, _CONDITION_OPERATORS, prefix, partial(_condition_primary, model=model, bound=bound))
 
 
-def _agent_ref(stream: _Stream, model: PromiseModel, bound: list[str]):
+def _agent_ref(stream: _Stream, model: PromiseModel, bound: dict[str, int]):
     tok = stream.expect_name("an agent or quantifier variable")
     if tok.value in bound:
         return AgentVar(tok.value)
@@ -508,7 +510,7 @@ def _agent_ref(stream: _Stream, model: PromiseModel, bound: list[str]):
     )
 
 
-def _condition_primary(stream: _Stream, model: PromiseModel, bound: list[str]) -> Condition:
+def _condition_primary(stream: _Stream, model: PromiseModel, bound: dict[str, int]) -> Condition:
     if stream.at_name("true"):
         stream.advance()
         return TRUE

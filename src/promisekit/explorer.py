@@ -19,7 +19,7 @@ from functools import partial
 from .process_algebra import (
     Configuration,
     Event,
-    can_terminate,
+    _control_point,
     step,
 )
 from .promise_state import PromiseModel, State, state_clashes
@@ -87,7 +87,11 @@ class Lts:
     """A fully explored transition system.
 
     ``nodes`` are in breadth-first discovery order; per-node outgoing
-    transitions are sorted by rendered event, then successor.
+    transitions are sorted by rendered event, then successor. Walks over
+    the system use integer ids: a node's id is its place in ``nodes``,
+    and an edge's ends are found by identity first, so that a built
+    system never hashes a configuration. An end that is not in ``nodes``
+    (the edges of a truncated build) gets an id after them.
     """
 
     def __init__(
@@ -99,14 +103,39 @@ class Lts:
         self.initial = initial
         self.nodes = nodes
         self.edges = edges
-        self._outgoing: dict[Configuration, list[tuple[Event, Configuration]]] = {
-            node: [] for node in nodes
-        }
-        for source, event, target in edges:
-            self._outgoing[source].append((event, target))
+        self._ends = list(nodes)  # every edge end, by id
+        self._ids = {id(node): number for number, node in enumerate(nodes)}
+        self._equal: dict[Configuration, int] | None = None
+        # every distinct event, numbered in rendered order: ids sort as reports do
+        self._events: list[Event] = sorted(dict.fromkeys(event for _, event, _ in edges), key=str)
+        event_ids = {event: number for number, event in enumerate(self._events)}
+        moves = [
+            (self._number(source), event_ids[event], self._number(target)) for source, event, target in edges
+        ]
+        self._successors: list[list[tuple[int, int]]] = [[] for _ in self._ends]
+        for source, event, target in moves:
+            self._successors[source].append((event, target))
+
+    def _number(self, config: Configuration, add: bool = True) -> int:
+        """The id of an edge end: by identity, else by equality; a new
+        end gets the next id when ``add``, else it raises KeyError."""
+        number = self._ids.get(id(config))
+        if number is not None:
+            return number
+        if self._equal is None:
+            self._equal = {end: number for number, end in enumerate(self._ends)}
+        number = self._equal.get(config)
+        if number is None:
+            if not add:
+                raise KeyError(config)
+            number = self._equal[config] = len(self._ends)
+            self._ends.append(config)
+            self._ids[id(config)] = number  # the edges keep it alive
+        return number
 
     def outgoing(self, config: Configuration) -> list[tuple[Event, Configuration]]:
-        return self._outgoing[config]
+        moves = self._successors[self._number(config, add=False)]
+        return [(self._events[event], self._ends[target]) for event, target in moves]
 
 
 def build_lts(
@@ -116,14 +145,15 @@ def build_lts(
 ) -> Lts:
     """Breadth-first closure of ``step`` starting from ``initial``.
 
-    Configurations are deduplicated structurally, and each is one object:
-    every edge leads to the instance in ``nodes``. Raises LimitExceeded
-    (with the partial system attached) when more than ``node_limit``
-    configurations are reachable.
+    Configurations are deduplicated structurally, by control point and
+    state, and each is one object: every edge leads to the instance in
+    ``nodes``. Raises LimitExceeded (with the partial system attached)
+    when more than ``node_limit`` configurations are reachable.
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
-    seen = {initial: initial}  # each configuration, to its one instance
+    # each configuration by (control point, promises), to its one instance
+    seen = {(_control_point(model, initial), initial.state.promises): initial}
     texts = _Renderings()
     edges: list[tuple[Configuration, Event, Configuration]] = []
     queue = deque([initial])
@@ -131,16 +161,17 @@ def build_lts(
     while queue:
         config = queue.popleft()
         for event, successor in transitions(model, config, texts):
-            node = seen.get(successor)
+            key = (successor._point, successor.state.promises)
+            node = seen.get(key)
             if node is None:
                 node = successor
                 if len(seen) >= node_limit:
                     truncated = True
                 else:
-                    seen[node] = node
+                    seen[key] = node
                     queue.append(node)
             edges.append((config, event, node))
-    lts = Lts(initial, tuple(seen), tuple(edges))
+    lts = Lts(initial, tuple(seen.values()), tuple(edges))
     if truncated:
         raise LimitExceeded("node", node_limit, partial=lts)
     return lts
@@ -168,21 +199,25 @@ class Trace:
 def final_outcome(config: Configuration) -> Outcome:
     """How a run ends that stopped in ``config``: successful when its term
     can terminate, deadlocked otherwise."""
-    return Outcome.SUCCESSFUL if can_terminate(config.term) else Outcome.DEADLOCKED
+    return Outcome.SUCCESSFUL if config.terminates else Outcome.DEADLOCKED
 
 
-def _after(configs, successors) -> tuple[dict[Event, set[Configuration]], set[Outcome]]:
+def _after(nodes, successors, outcome) -> tuple[dict, set[Outcome]]:
     """One step of the subset construction: each event that ``successors``
-    gives any of ``configs``, with every configuration it leads to, and
-    the outcomes of those of ``configs`` that have no transition."""
-    targets: dict[Event, set[Configuration]] = {}
+    gives any of ``nodes``, with every node it leads to, and the
+    ``outcome`` of each of ``nodes`` that has no transition."""
+    targets: dict = {}
     ends: set[Outcome] = set()
-    for config in configs:
-        moves = successors(config)
+    for node in nodes:
+        moves = successors(node)
         if not moves:
-            ends.add(final_outcome(config))
-        for event, successor in moves:
-            targets.setdefault(event, set()).add(successor)
+            ends.add(outcome(node))
+        for event, target in moves:
+            found = targets.get(event)
+            if found is None:
+                targets[event] = {target}
+            else:
+                found.add(target)
     return targets, ends
 
 
@@ -194,27 +229,32 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     walk visits each event prefix once, with every node it reaches, and
     yields its own traces before its extensions in rendered-event order,
     so it stops at the first trace past ``max_traces`` in that order.
+    Nodes and events are walked as ids (see ``Lts``).
     """
     traces: list[Trace] = []
-    texts = _Renderings()
-    # an explicit stack, so that no recursion limit bounds the trace length;
-    # a prefix is its last event and the prefix before it, so that no step
-    # copies it, and becomes a tuple only for a trace
-    stack: list[tuple[tuple | None, set[Configuration]]] = [(None, {lts.initial})]
+    events = lts._events
+    successors = lts._successors.__getitem__
+    ends = lts._ends
+
+    def outcome(node: int) -> Outcome:
+        return final_outcome(ends[node])
+
+    # a depth-first walk on an explicit stack, so that no recursion limit
+    # bounds the trace length; an entry is (prefix length, its last event,
+    # the nodes it reaches), and ``path`` holds the prefix being visited
+    path: list[Event] = []
+    stack: list[tuple[int, int, set[int]]] = [(0, -1, {lts._number(lts.initial, add=False)})]
     while stack:
-        prefix, configs = stack.pop()
-        targets, ends = _after(configs, lts.outgoing)
-        if ends:
-            events, link = [], prefix
-            while link is not None:
-                event, link = link
-                events.append(event)
-            events.reverse()
-            for outcome in sorted(ends, key=str):
-                traces.append(Trace(tuple(events), outcome))
-                if len(traces) > max_traces:
-                    raise LimitExceeded("trace", max_traces, partial=traces)
-        stack += [((event, prefix), targets[event]) for event in sorted(targets, key=texts.__getitem__, reverse=True)]
+        length, event, nodes = stack.pop()
+        if length:
+            del path[length - 1 :]
+            path.append(events[event])
+        targets, finals = _after(nodes, successors, outcome)
+        for end in sorted(finals, key=str):
+            traces.append(Trace(tuple(path), end))
+            if len(traces) > max_traces:
+                raise LimitExceeded("trace", max_traces, partial=traces)
+        stack += [(length + 1, event, targets[event]) for event in sorted(targets, reverse=True)]
     return traces
 
 
@@ -251,13 +291,13 @@ def verify_trace(
     current = {initial}
     successors = partial(step, model)
     for index, wanted in enumerate(events):
-        targets, _ = _after(current, successors)
+        targets, _ = _after(current, successors, final_outcome)
         if wanted not in targets:
             available = tuple(sorted(targets, key=str))
             return Rejected(index=index, available=available, state=next(iter(current)).state)
         current = targets[wanted]
 
-    _, ends = _after(current, successors)
+    _, ends = _after(current, successors, final_outcome)
     # successful if any terminal configuration is, None if none is terminal
     outcome = Outcome.SUCCESSFUL if Outcome.SUCCESSFUL in ends else next(iter(ends), None)
     return Accepted(final_state=next(iter(current)).state, maximal=bool(ends), outcome=outcome)
@@ -289,5 +329,8 @@ def check_invariants(model: PromiseModel, lts: Lts) -> list[Violation]:
 
 def find_deadlocks(lts: Lts) -> list[Configuration]:
     """Terminal configurations that cannot terminate successfully."""
-    terminal = [node for node in lts.nodes if not lts.outgoing(node)]
-    return [node for node in terminal if final_outcome(node) is Outcome.DEADLOCKED]
+    return [
+        node
+        for node, moves in zip(lts.nodes, lts._successors)
+        if not moves and final_outcome(node) is Outcome.DEADLOCKED
+    ]

@@ -435,12 +435,59 @@ DONE = Done()
 DEADLOCK = Deadlock()
 
 
-@dataclass(frozen=True, slots=True)
-class Configuration(StoredHash):
-    """A process term paired with the promise state it runs against."""
+_set = object.__setattr__  # fills fields of classes that refuse assignment
 
-    term: ProcessTerm
-    state: State
+
+class Configuration:
+    """A process term paired with the promise state it runs against.
+
+    Configurations are equal when their terms and states are. One that
+    ``step`` made holds its term as a control point of the model's engine
+    (see ``_Engine``) and builds the term only when it is read; two such
+    configurations compare their points, since a point is one term."""
+
+    __slots__ = ("_term", "state", "_point")
+
+    def __init__(self, term: ProcessTerm, state: State):
+        _set(self, "_term", term)
+        _set(self, "state", state)
+        _set(self, "_point", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: configurations are immutable")
+
+    @property
+    def term(self) -> ProcessTerm:
+        if self._term is None:
+            _set(self, "_term", _term_of(self._point))
+        return self._term
+
+    @property
+    def terminates(self) -> bool:
+        """``can_terminate`` of the term, without building it."""
+        point = self._point
+        return point.terminates if point is not None else self._term.terminates
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Configuration:
+            return NotImplemented
+        if self.state != other.state:
+            return False
+        mine, theirs = self._point, other._point
+        if mine is not None and theirs is not None and mine.origin is theirs.origin:
+            return mine is theirs
+        return self.term == other.term
+
+    def __hash__(self) -> int:
+        # equal configurations have equal states; hashing the term as well
+        # would build every term that is held as a point
+        return hash(self.state.promises)
+
+    def __repr__(self) -> str:
+        return f"Configuration(term={self.term!r}, state={self.state!r})"
+
+    def __reduce__(self):
+        return Configuration, (self.term, self.state)
 
 
 def can_terminate(term: ProcessTerm) -> bool:
@@ -453,62 +500,321 @@ def can_terminate(term: ProcessTerm) -> bool:
 
 
 def step(model: PromiseModel, config: Configuration) -> set[tuple[Event, Configuration]]:
-    """All one-step transitions of a configuration."""
-    return {
-        (event, Configuration(term, state))
-        for event, term, state in _moves(model, config.term, config.state)
-    }
+    """All one-step transitions of a configuration: the symbolic moves of
+    its control point whose guards hold in its state and whose action is
+    enabled there."""
+    point = _control_point(model, config)
+    moves = point.moves if point.moves is not None else model._engine.derive(point)
+    state = config.state
+    found = set()
+    for guards, (event, promise, needed, withdraws), successor in moves:
+        while guards is not None and eval_condition(model, guards[0], state):
+            guards = guards[1]
+        if guards is not None:  # a guard does not hold
+            continue
+        if withdraws:
+            after = withdraw(state, promise) if pw_enabled(state, promise) else None
+        elif needed is None or needed in state:
+            after = try_introduce(model, state, promise)
+        else:
+            continue
+        if after is not None:
+            found.add((event, _configuration(successor, after)))
+    return found
 
 
-def _moves(model: PromiseModel, term: ProcessTerm, state: State) -> list[tuple[Event, ProcessTerm, State]]:
-    """The transitions of ``step`` as (event, term, state), possibly
-    repeated, in no particular order. Each pending subterm carries the
-    operands that enclose it, as a chain of (class, sibling, whether the
-    subterm is the left operand, enclosing chain); an enabled action's
-    successor is rebuilt from that chain. A choice, a guard and a sequence
-    whose left side has terminated leave no trace in the successor."""
-    moves = []
-    pending: list = [(term, None)]
-    while pending:
-        term, context = pending.pop()
+# ---------------------------------------------------------------------------
+# the compiled engine
+#
+# A configuration's term is compiled into control points of its model's
+# engine, hash-consed so that equal terms are one point (Groote, Ponse & Usenko, *Linearization
+# in parallel pCRL*, 2001, do the same for mCRL2's linear processes).
+# A point's symbolic moves are (guards, action, successor point), derived
+# once at its first step from its operands' moves; a step only evaluates
+# the guards and the action against the state. The guards are a linked
+# list (condition, the guards inside it), outermost first, or None. A left
+# chain of ``.`` operands is its innermost operand and a hash-consed list
+# of the rest, so stepping along a sequence moves one place down that list.
+
+
+class _Point:
+    """A control point: one distinct term. ``op`` is the term's class and
+    ``parts`` its operands as points: an action's event; a choice's or
+    interleaving's two sides; a guard's condition and body; a sequence's
+    innermost operand, which is never a sequence, and the ``_Cell`` list
+    of the operands after it. ``moves`` is None until derived. ``origin``
+    stands for the engine that made the point without referring to it:
+    the engine's tables refer to every point, and a cycle would keep a
+    model's tables alive until a garbage collection."""
+
+    __slots__ = ("op", "parts", "terminates", "origin", "moves", "_term")
+
+    def __init__(self, op, parts: tuple, terminates: bool, origin: object, moves=None, term=None):
+        self.op = op
+        self.parts = parts
+        self.terminates = terminates
+        self.origin = origin
+        self.moves = moves
+        self._term = term
+
+    def sources(self) -> list["_Point"]:
+        """The points whose moves this point's moves are made of."""
+        op = self.op
+        if op is Seq:
+            first, cell = self.parts
+            found = [first]
+            while cell is not None and found[-1].terminates:
+                found.append(cell.first)
+                cell = cell.rest
+            return found
+        if op is Guard:
+            return [self.parts[1]]
+        return list(self.parts) if op is Alt or op is Par else []
+
+
+class _Cell:
+    """One place of a sequence's operand list: the operand, the cell after
+    it (None at the end), and whether all operands from here terminate."""
+
+    __slots__ = ("first", "rest", "terminates")
+
+    def __init__(self, first: _Point, rest: "_Cell | None"):
+        self.first = first
+        self.rest = rest
+        self.terminates = first.terminates and (rest is None or rest.terminates)
+
+
+class _Engine:
+    """The terms stepped under one model, as control points. ``points``
+    hash-conses them by class and operands, and ``cells`` the operand
+    lists. The tables live on the model (see ``_control_point``)."""
+
+    def __init__(self):
+        self.points: dict[tuple, _Point] = {}
+        self.cells: dict[tuple, _Cell] = {}
+        self.origin = object()
+        self.done = _Point(Done, (), True, self.origin, [], DONE)
+        self.deadlock = _Point(Deadlock, (), False, self.origin, [], DEADLOCK)
+
+    def compile(self, term: ProcessTerm) -> _Point:
+        """The point of a term: each distinct subterm object is visited
+        once, and each point is found or made from its operands' points."""
+        points: dict[int, _Point] = {}  # by id: the term keeps its subterms alive
+        pending: list = [(term, None)]
+        while pending:
+            node, operands = pending.pop()
+            if id(node) in points:
+                continue
+            if operands is None:
+                operands = _operands(node)
+                missing = [(operand, None) for operand in operands if id(operand) not in points]
+                if missing:
+                    pending.append((node, operands))
+                    pending += missing
+                    continue
+            points[id(node)] = self._point(node, [points[id(operand)] for operand in operands])
+        return points[id(term)]
+
+    def _point(self, term: ProcessTerm, operands: list[_Point]) -> _Point:
         cls = term.__class__
         if cls is Seq:
-            pending.append((term.left, (Seq, term.right, True, context)))
-            if term.left.terminates:
-                pending.append((term.right, context))
-        elif cls is Par:
-            pending.append((term.left, (Par, term.right, True, context)))
-            pending.append((term.right, (Par, term.left, False, context)))
-        elif cls is Alt:
-            pending.append((term.left, context))
-            pending.append((term.right, context))
+            rest = None
+            for operand in reversed(operands[1:]):
+                rest = self._cell(operand, rest)
+            point = self._seq(operands[0], rest)
+        elif cls is Done:
+            point = self.done
+        elif cls is Deadlock:
+            point = self.deadlock
         elif cls is Act:
-            for event, succ, after in _act_moves(model, term.event, state):
-                enclosing = context
-                while enclosing is not None:
-                    kind, sibling, on_left, enclosing = enclosing
-                    succ = kind(succ, sibling) if on_left else kind(sibling, succ)
-                moves.append((event, succ, after))
+            key = (Act, term.event)
+            point = self.points.get(key)
+            if point is None:
+                move = (None, _firing(term.event), self.done)
+                point = self.points[key] = _Point(Act, (term.event,), False, self.origin, [move])
         elif cls is Guard:
-            if eval_condition(model, term.condition, state):
-                pending.append((term.body, context))
-        elif cls is not Done and cls is not Deadlock:
-            raise TypeError(f"not a process term: {term!r}")
-    return moves
+            point = self._intern(Guard, term.condition, operands[0])
+        else:
+            point = self._intern(cls, *operands)
+        if point._term is None:
+            point._term = term
+        return point
+
+    def _intern(self, op, left, right) -> _Point:
+        """The point of a choice, interleaving or guard. A guard never
+        terminates by itself, a choice when either side does."""
+        key = (op, left, right)
+        point = self.points.get(key)
+        if point is None:
+            if op is Guard:
+                terminates = False
+            elif op is Alt:
+                terminates = left.terminates or right.terminates
+            else:
+                terminates = left.terminates and right.terminates
+            point = self.points[key] = _Point(op, (left, right), terminates, self.origin)
+        return point
+
+    def _cell(self, first: _Point, rest: _Cell | None) -> _Cell:
+        key = (first, rest)
+        cell = self.cells.get(key)
+        if cell is None:
+            cell = self.cells[key] = _Cell(first, rest)
+        return cell
+
+    def _seq(self, first: _Point, rest: _Cell | None) -> _Point:
+        """The point of ``first . rest``: ``first`` when nothing follows; a
+        sequence's operands continue into ``rest``, so that each chain has
+        one form."""
+        if rest is None:
+            return first
+        key = (Seq, first, rest)
+        point = self.points.get(key)
+        if point is None:
+            if first.op is Seq:
+                first, chain = first.parts
+                operands = []
+                while chain is not None:
+                    operands.append(chain.first)
+                    chain = chain.rest
+                for operand in reversed(operands):
+                    rest = self._cell(operand, rest)
+                point = self.points.get((Seq, first, rest))
+            if point is None:
+                point = self.points[Seq, first, rest] = _Point(
+                    Seq, (first, rest), first.terminates and rest.terminates, self.origin
+                )
+            self.points[key] = point
+        return point
+
+    def derive(self, point: _Point) -> list:
+        """The point's symbolic moves, deriving those of the points they
+        are made of first; waiting points are on a stack."""
+        pending = [point]
+        while pending:
+            node = pending[-1]
+            if node.moves is not None:
+                pending.pop()
+                continue
+            missing = [source for source in node.sources() if source.moves is None]
+            if missing:
+                pending += missing
+                continue
+            pending.pop()
+            node.moves = self._moves(node)
+        return point.moves
+
+    def _moves(self, point: _Point) -> list:
+        op = point.op
+        if op is Alt:
+            left, right = point.parts
+            return left.moves if left is right else left.moves + right.moves
+        if op is Guard:
+            condition, body = point.parts
+            return [((condition, guards), action, successor) for guards, action, successor in body.moves]
+        if op is Par:
+            left, right = point.parts
+            intern = self._intern
+            return [(guards, action, intern(Par, successor, right)) for guards, action, successor in left.moves] + [
+                (guards, action, intern(Par, left, successor)) for guards, action, successor in right.moves
+            ]
+        # a sequence: the innermost operand moves in place; once it can
+        # terminate, the next operand moves and the chain drops a place
+        first, rest = point.parts
+        seq = self._seq
+        moves = [(guards, action, seq(successor, rest)) for guards, action, successor in first.moves]
+        while first.terminates and rest is not None:
+            first, rest = rest.first, rest.rest
+            moves += [(guards, action, seq(successor, rest)) for guards, action, successor in first.moves]
+        return moves
 
 
-def _act_moves(model: PromiseModel, event: Event, state: State) -> list[tuple[Event, ProcessTerm, State]]:
+def _operands(term: ProcessTerm) -> list:
+    """The subterms a term's point is made of: a sequence's whole left
+    chain, innermost first, for a sequence."""
+    cls = term.__class__
+    if cls is Seq:
+        chain = []
+        while term.__class__ is Seq:
+            chain.append(term.right)
+            term = term.left
+        chain.append(term)
+        chain.reverse()
+        return chain
+    if cls is Alt or cls is Par:
+        return [term.left, term.right]
+    if cls is Guard:
+        return [term.body]
+    if cls is Act or cls is Done or cls is Deadlock:
+        return []
+    raise TypeError(f"not a process term: {term!r}")
+
+
+def _firing(event: Event) -> tuple:
+    """What an action needs to fire, fixed once: (event, the promise it
+    introduces or withdraws, the promise the state must hold first or
+    None, whether it withdraws)."""
     if isinstance(event, IntroduceEvent):
-        after = try_introduce(model, state, event_promise(event))
-    elif isinstance(event, WithdrawEvent):
-        promise = event_promise(event)
-        after = withdraw(state, promise) if pw_enabled(state, promise) else None
-    elif isinstance(event, GeneralizedIntroduceEvent):
+        return event, event_promise(event), None, False
+    if isinstance(event, WithdrawEvent):
+        return event, event_promise(event), None, True
+    if isinstance(event, GeneralizedIntroduceEvent):
         gp = event_promise(event)
-        after = try_introduce(model, state, gp.induced()) if gp.compliance() in state else None
-    else:
-        raise TypeError(f"not an event: {event!r}")
-    return [] if after is None else [(event, DONE, after)]
+        return event, gp.induced(), gp.compliance(), False
+    raise TypeError(f"not an event: {event!r}")
+
+
+def _control_point(model: PromiseModel, config: Configuration) -> _Point:
+    """The configuration's point in the model's engine, which is made at
+    the model's first step; a configuration made from a term compiles it
+    at its first step and keeps the point."""
+    engine = model._engine
+    if engine is None:
+        engine = _Engine()
+        _set(model, "_engine", engine)
+    point = config._point
+    if point is None or point.origin is not engine.origin:
+        point = engine.compile(config.term)
+        _set(config, "_point", point)
+    return point
+
+
+def _configuration(point: _Point, state: State) -> Configuration:
+    config = object.__new__(Configuration)
+    _set(config, "_term", point._term)
+    _set(config, "state", state)
+    _set(config, "_point", point)
+    return config
+
+
+def _term_of(point: _Point) -> ProcessTerm:
+    """The term of a point, built from its operands' terms at the first
+    request. Only interleavings and sequences that steps made lack one;
+    waiting points are on a stack."""
+    pending = [point]
+    while pending:
+        node = pending[-1]
+        if node._term is not None:
+            pending.pop()
+            continue
+        if node.op is Par:
+            parts = list(node.parts)
+        else:
+            first, cell = node.parts
+            parts = [first]
+            while cell is not None:
+                parts.append(cell.first)
+                cell = cell.rest
+        missing = [part for part in parts if part._term is None]
+        if missing:
+            pending += missing
+            continue
+        pending.pop()
+        term = parts[0]._term
+        for part in parts[1:]:
+            term = node.op(term, part._term)
+        node._term = term
+    return point._term
 
 
 class InvalidBody(ValueError):

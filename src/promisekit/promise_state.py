@@ -132,6 +132,9 @@ class PromiseModel:
     # name lookups, derived from ``agents`` and ``atoms``
     _agents_by_name: Mapping[str, Agent] = field(init=False, repr=False, compare=False)
     _atoms_by_name: Mapping[str, TaskAtom] = field(init=False, repr=False, compare=False)
+    # the compiled terms of the process engine (``process_algebra._Engine``),
+    # made at the first step under this model
+    _engine: object = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(

@@ -411,6 +411,28 @@ class TestDeepNesting:
         parsed = parse_scenario(text)
         assert parse_term(deadlock["term"], parsed.model) == parsed.entry
 
+    def test_definitions_that_double_their_sharing(self, tmp_path):
+        # d25 is 2^25 delegated actions as a tree, but 26 distinct subterms:
+        # every command visits each distinct subterm once
+        lines = [f"def d{i} = d{i - 1} + d{i - 1}" for i in range(1, 26)]
+        text = "agent s c\nsubord c <= s\ntype t\ntask g : t\ninit pi(c, gamma, s)\n"
+        scenario, trace = tmp_path / "shared.promise", tmp_path / "shared.txt"
+        scenario.write_text(text + "def d0 = pi(s[c], g, s)\n" + "\n".join(lines) + "\nrun d25\n", encoding="utf-8")
+        trace.write_text("pi(s[c], g, s)\n", encoding="utf-8")
+        code, out, err = run_cli(["check", str(scenario)])
+        assert (code, err) == (0, "")
+        warning = "  obligation: c is subordinate to s, so the promise binds c involuntarily"
+        assert out.splitlines()[-3:] == ["warnings: 1", warning, "ok"]
+        code, out, err = run_cli(["explore", str(scenario), "--format", "json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["nodes"], report["edges"], report["deadlocks"]) == (2, 1, [])
+        assert report["traces"] == [{"events": ["pi(s[c], g, s[s])"], "outcome": "successful"}]
+        code, out, err = run_cli(["run", str(scenario)])
+        assert (code, err, out.splitlines()[:2]) == (0, "", ["pi(s[c], g, s[s])", "outcome: successful"])
+        code, out, err = run_cli(["verify-trace", str(scenario), "--trace", str(trace)])
+        assert (code, err, out.splitlines()[:2]) == (0, "", ["accepted", "maximal: yes"])
+
     @pytest.mark.parametrize("name", DEEP_INPUTS)
     def test_every_command_takes_deep_input(self, tmp_path, name):
         scenario, trace = tmp_path / "deep.promise", tmp_path / "deep.txt"

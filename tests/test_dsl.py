@@ -21,6 +21,7 @@ from promisekit.process_algebra import (
     Act,
     AgentVar,
     Alt,
+    And,
     DEADLOCK,
     DONE,
     ForAllAgents,
@@ -241,6 +242,23 @@ class TestTermSyntax:
         )
         with pytest.raises(ValidationError, match="unknown agent 'v'"):
             parse_term("[(forall v != a : p(b, x, v)) or p(b, x, v)] -> delta", plain_model)
+
+    def test_an_inner_forall_may_reuse_a_variable(self, plain_model):
+        # inside the inner body v is the inner variable; once that body
+        # closes, v is the outer one again, and past the outer body unbound
+        a, b = plain_model.agent("a"), plain_model.agent("b")
+        x, y = plain_model.body("x"), plain_model.body("y")
+        term = parse_term("[forall v != a : (forall v != b : p(v, x, a)) and p(v, y, b)] -> delta", plain_model)
+        assert term.condition == ForAllAgents(
+            "v",
+            a,
+            And(ForAllAgents("v", b, HasPromise(AgentVar("v"), x, a)), HasPromise(AgentVar("v"), y, b)),
+        )
+        with pytest.raises(ValidationError, match="unknown agent 'v'"):
+            parse_term(
+                "[(forall v != a : (forall v != b : p(v, x, a)) and p(v, y, b)) or p(v, x, b)] -> delta",
+                plain_model,
+            )
 
     def test_delegated_event_round_trip(self, plain_model):
         term = parse_term("pi(a[b], x, c[a])", plain_model)

@@ -40,6 +40,8 @@ from promisekit.process_algebra import (
     Par,
     Seq,
     WithdrawEvent,
+    _Cell,
+    _Point,
     step,
 )
 from promisekit.promise_state import EMPTY_STATE, Agent, Promise, State
@@ -93,6 +95,15 @@ CANONICAL_CASES = [
     *(pytest.param(offers(n), id=f"offers-{n}") for n in (2, 3)),
 ]
 
+# both choices reach ok . pi(s, g3, m) . pi(s, g4, m) after the same three
+# events, the second through a parenthesized sequence
+TWO_WAYS_TO_ONE_TERM = (
+    "agent s m\ntype t\n"
+    + "".join(f"task g{i} : t\n" for i in range(5))
+    + "run pi(s, g0, m) . pi(s, g1, m) . pi(s, g2, m) . pi(s, g3, m) . pi(s, g4, m)"
+    + " + pi(s, g0, m) . pi(s, g1, m) . (pi(s, g2, m) . pi(s, g3, m)) . pi(s, g4, m)\n"
+)
+
 
 @pytest.fixture(scope="module")
 def ride_lts(ride):
@@ -133,6 +144,21 @@ class TestBuildLts:
         assert exc.value.partial is not None
         assert len(exc.value.partial.nodes) == 5
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            *CANONICAL_CASES,
+            *(pytest.param(random_scenario_text(seed), id=f"random-{seed}") for seed in range(12)),
+            pytest.param(TWO_WAYS_TO_ONE_TERM, id="two-ways"),
+        ],
+    )
+    def test_nodes_are_distinct_configurations(self, text):
+        # one node per (term, state): the terms built from the nodes'
+        # control points differ wherever their states agree
+        scenario = parse_scenario(text)
+        lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state), node_limit=5000)
+        assert len({(node.term, node.state) for node in lts.nodes}) == len(lts.nodes)
+
     @pytest.mark.parametrize("strict", [False, True], ids=["dyadic", "strict"])
     @pytest.mark.parametrize("text", CANONICAL_CASES)
     def test_every_edge_leads_to_the_node_itself(self, text, strict):
@@ -145,6 +171,48 @@ class TestBuildLts:
         for source, _, target in lts.edges:
             assert canonical[source] is source
             assert canonical[target] is target
+
+
+def _sequence(shape: str, length: int) -> str:
+    """A scenario that runs one sequence of about ``2 * length`` events:
+    ``flat`` as parsed, ``pairs`` of parenthesized sequences, ``shared``
+    uses of one definition, or nested to the ``right``."""
+    goods = range(1 if shape == "shared" else length)
+    pairs = [f"pi(s, g{i}, m) . pw(s, g{i}, m)" for i in range(length)]
+    run = {
+        "flat": " . ".join(pairs),
+        "pairs": " . ".join(f"({pair})" for pair in pairs),
+        "shared": " . ".join(["q"] * length),
+        "right": " . (".join(pairs) + ")" * (length - 1),
+    }[shape]
+    head = "agent s m\ntype t\n" + "".join(f"task g{i} : t\n" for i in goods)
+    return head + "def q = pi(s, g0, m) . pw(s, g0, m)\nrun " + run + "\n"
+
+
+class TestLinearSequences:
+    """A step along a sequence moves one place down its operand list, so
+    the engine's work grows with the sequence's length: counted here by
+    the control points, list cells and terms a build makes, not by a
+    clock."""
+
+    @pytest.mark.parametrize("shape", ["flat", "pairs", "shared", "right"])
+    def test_what_a_build_makes_grows_linearly(self, shape, monkeypatch):
+        made = []
+        for cls in (_Point, _Cell, Seq, Par):
+            def counting(self, *args, _init=cls.__init__):
+                made.append(self)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        counts = []
+        for length in (50, 100):
+            scenario = parse_scenario(_sequence(shape, length))
+            made.clear()
+            lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state))
+            assert (len(lts.nodes), len(lts.edges)) == (2 * length + 1, 2 * length)
+            counts.append(len(made))
+        # a step that rebuilt the rest of the sequence would make four times as many
+        assert counts[1] <= 2 * counts[0] + 10
 
 
 class TestMaximalTraces:
@@ -204,8 +272,13 @@ class TestMaximalTraces:
         lts = build_lts(scenario.model, initial)
         assert (len(lts.nodes), len(lts.edges)) == (33, 62)
         calls = []
-        outgoing = lts.outgoing
-        lts.outgoing = lambda config: calls.append(1) or outgoing(config)
+
+        class Counting(list):  # the walk reads a node's moves through this
+            def __getitem__(self, node):
+                calls.append(node)
+                return list.__getitem__(self, node)
+
+        lts._successors = Counting(lts._successors)
         [trace] = maximal_traces(lts)
         assert len(calls) <= 33  # at most one per node; walking every path takes 131,071
         verdict = verify_trace(scenario.model, initial, trace.events)

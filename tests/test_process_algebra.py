@@ -264,6 +264,21 @@ OPERATOR_CHAINS = st.recursive(
     max_leaves=3,
 )
 PROMISES = st.builds(Promise, AGENTS, BODIES, AGENTS)
+# terms that mostly can move: introductions are rarely blocked, so walks
+# from them go several steps deep
+INTRODUCTIONS = st.builds(Act, st.builds(IntroduceEvent, AGENTS, BODIES, AGENTS))
+WALK_LEAVES = st.one_of(INTRODUCTIONS, INTRODUCTIONS, INTRODUCTIONS, LEAVES)
+WALK_TERMS = st.recursive(
+    st.one_of(WALK_LEAVES, st.lists(WALK_LEAVES, min_size=2, max_size=12).map(lambda terms: reduce(Seq, terms))),
+    lambda terms: st.one_of(
+        st.builds(Seq, terms, terms),
+        st.builds(Alt, terms, terms),
+        st.builds(Par, terms, terms),
+        st.builds(Guard, st.one_of(st.just(TRUE), st.builds(Not, st.builds(HasPromise, AGENTS, BODIES, AGENTS))), terms),
+        st.builds(Guard, CONDITIONS, terms),
+    ),
+    max_leaves=6,
+)
 AGENTS_ALL = ORACLE_MODEL.agents
 BODIES_ALL = all_bodies(ORACLE_MODEL.atoms)
 
@@ -318,6 +333,39 @@ class TestOracleAgreement:
         texts = _Renderings()
         assert transitions(model, config, texts) == found
         assert transitions(model, config, texts) == found
+
+
+    @settings(max_examples=100, deadline=None)
+    # shared subterms are one control point: in a choice their moves are
+    # listed once, in an interleaving each side still moves on its own
+    @given(
+        st.one_of(
+            WALK_TERMS,
+            WALK_TERMS.map(lambda term: Par(term, term)),
+            WALK_TERMS.map(lambda term: Alt(term, term)),
+            WALK_TERMS.map(lambda term: Seq(Alt(term, term), Par(term, Seq(term, term)))),
+        ),
+        st.frozensets(PROMISES, max_size=3),
+        st.booleans(),
+    )
+    def test_steps_match_the_oracle_along_every_walk(self, term, held, strict):
+        # the engine keeps its compiled terms and their moves between
+        # steps: compare every configuration up to four steps deep, in the
+        # mode it was reached in and, through a second engine, in the other
+        models = [replace(ORACLE_MODEL, strict_conflicts=mode) for mode in (strict, not strict)]
+        level = [Configuration(term, State(held))]
+        for _ in range(4):
+            reached = []
+            for config in level[:40]:
+                for model in models:
+                    moves = step(model, config)
+                    assert moves == {
+                        (event, Configuration(succ, State(after)))
+                        for event, succ, after in _moves(model, config.term, config.state.promises)
+                    }
+                    assert config.terminates is _finished(config.term) is can_terminate(config.term)
+                reached += [successor for _, successor in transitions(models[0], config)]
+            level = reached
 
 
 NESTING = (Act, Seq, Alt, Par, Guard, Not, And, Or, Implies, ForAllAgents)
