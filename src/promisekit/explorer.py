@@ -14,15 +14,16 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 from .process_algebra import (
     Configuration,
     Event,
-    _control_point,
-    step,
+    _configuration,
+    _locate,
+    _Point,
+    _successors,
 )
-from .promise_state import PromiseModel, State, state_clashes
+from .promise_state import PromiseModel, State, _clashes
 
 __all__ = [
     "Lts",
@@ -58,10 +59,14 @@ class LimitExceeded(Exception):
 
 
 class _Renderings(dict):
-    """Each key's ``str``, computed at its first lookup."""
+    """Each key's ``str``, computed at its first lookup: events, control
+    points, and states by (promise table, bits)."""
 
     def __missing__(self, item) -> str:
-        text = self[item] = str(item)
+        if item.__class__ is tuple:
+            text = self[item] = str(State._of(*item))
+        else:
+            text = self[item] = str(item)
         return text
 
 
@@ -72,14 +77,26 @@ def transitions(
     report uses: by rendered event, then successor term, then state. An
     exploration keeps ``texts`` for all its calls, so that no event, term
     or state is rendered twice."""
-    moves = list(step(model, config))
+    point, bits = _locate(model, config)
+    return [
+        (event, _configuration(successor, after))
+        for event, successor, after in _ordered(model, point, bits, texts)
+    ]
+
+
+def _ordered(
+    model: PromiseModel, point: _Point, bits: int, texts: _Renderings | None
+) -> list[tuple[Event, _Point, int]]:
+    """``transitions`` of a control point and the bits of a state."""
+    moves = _successors(model, point, bits)
     if len(moves) > 1:
         texts = _Renderings() if texts is None else texts
-        if len({texts[event] for event, _ in moves}) == len(moves):
+        if len({texts[event] for event, _, _ in moves}) == len(moves):
             # distinct events decide the order: no successor is rendered
             moves.sort(key=lambda move: texts[move[0]])
         else:
-            moves.sort(key=lambda move: (texts[move[0]], texts[move[1].term], texts[move[1].state]))
+            table = point.table
+            moves.sort(key=lambda move: (texts[move[0]], texts[move[1]], texts[table, move[2]]))
     return moves
 
 
@@ -146,25 +163,26 @@ def build_lts(
     """Breadth-first closure of ``step`` starting from ``initial``.
 
     Configurations are deduplicated structurally, by control point and
-    state, and each is one object: every edge leads to the instance in
-    ``nodes``. Raises LimitExceeded (with the partial system attached)
-    when more than ``node_limit`` configurations are reachable.
+    the bits of their state, and each is one object: every edge leads to
+    the instance in ``nodes``. Raises LimitExceeded (with the partial
+    system attached) when more than ``node_limit`` configurations are
+    reachable.
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
-    # each configuration by (control point, promises), to its one instance
-    seen = {(_control_point(model, initial), initial.state.promises): initial}
+    # each configuration by (control point, bits), to its one instance
+    seen = {_locate(model, initial): initial}
     texts = _Renderings()
     edges: list[tuple[Configuration, Event, Configuration]] = []
     queue = deque([initial])
     truncated = False
     while queue:
         config = queue.popleft()
-        for event, successor in transitions(model, config, texts):
-            key = (successor._point, successor.state.promises)
+        for event, successor, after in _ordered(model, config._point, config._bits, texts):
+            key = (successor, after)
             node = seen.get(key)
             if node is None:
-                node = successor
+                node = _configuration(successor, after)
                 if len(seen) >= node_limit:
                     truncated = True
                 else:
@@ -196,9 +214,9 @@ class Trace:
         return "\n".join(str(event) for event in self.events)
 
 
-def final_outcome(config: Configuration) -> Outcome:
-    """How a run ends that stopped in ``config``: successful when its term
-    can terminate, deadlocked otherwise."""
+def final_outcome(config: Configuration | _Point) -> Outcome:
+    """How a run ends that stopped in ``config`` (or at a control point):
+    successful when its term can terminate, deadlocked otherwise."""
     return Outcome.SUCCESSFUL if config.terminates else Outcome.DEADLOCKED
 
 
@@ -285,22 +303,33 @@ def verify_trace(
     """Replay an event sequence against the step semantics.
 
     The same event may label transitions into different terms, so the
-    replay tracks every configuration the prefix can reach; the promise
-    state is identical across them because it is a function of the events.
+    replay tracks every configuration the prefix can reach, as (control
+    point, bits); the promise state is identical across them because it
+    is a function of the events.
     """
-    current = {initial}
-    successors = partial(step, model)
+    point, bits = _locate(model, initial)
+
+    def successors(node: tuple[_Point, int]) -> list[tuple[Event, tuple[_Point, int]]]:
+        return [(event, (successor, after)) for event, successor, after in _successors(model, *node)]
+
+    def outcome(node: tuple[_Point, int]) -> Outcome:
+        return final_outcome(node[0])
+
+    def state(nodes: set[tuple[_Point, int]]) -> State:
+        return State._of(point.table, next(iter(nodes))[1])
+
+    current = {(point, bits)}
     for index, wanted in enumerate(events):
-        targets, _ = _after(current, successors, final_outcome)
+        targets, _ = _after(current, successors, outcome)
         if wanted not in targets:
             available = tuple(sorted(targets, key=str))
-            return Rejected(index=index, available=available, state=next(iter(current)).state)
+            return Rejected(index=index, available=available, state=state(current))
         current = targets[wanted]
 
-    _, ends = _after(current, successors, final_outcome)
+    _, ends = _after(current, successors, outcome)
     # successful if any terminal configuration is, None if none is terminal
     outcome = Outcome.SUCCESSFUL if Outcome.SUCCESSFUL in ends else next(iter(ends), None)
-    return Accepted(final_state=next(iter(current)).state, maximal=bool(ends), outcome=outcome)
+    return Accepted(final_state=state(current), maximal=bool(ends), outcome=outcome)
 
 
 @dataclass(frozen=True)
@@ -318,12 +347,13 @@ class Violation:
 
 def check_invariants(model: PromiseModel, lts: Lts) -> list[Violation]:
     """Every pair of promises that clash (see ``promise_state.clash``) in
-    every reachable state, under the model's conflict mode. Expected empty
-    for any system reached through enabled speech acts."""
+    every reachable state, under the model's conflict mode: a mask test
+    per held promise that can clash at all. Expected empty for any system
+    reached through enabled speech acts."""
     return [
         Violation(reason, node, f"{p} and {q}")
         for node in lts.nodes
-        for reason, p, q in state_clashes(model, node.state)
+        for reason, p, q in _clashes(model, _locate(model, node)[1])
     ]
 
 

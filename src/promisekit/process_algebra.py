@@ -20,9 +20,8 @@ from .promise_state import (
     Promise,
     PromiseModel,
     State,
-    pw_enabled,
-    try_introduce,
-    withdraw,
+    _Table,
+    _table_of,
 )
 from .task_algebra import (
     StoredHash,
@@ -292,10 +291,18 @@ def eval_condition(
     state: State,
     env: dict[str, Agent] | None = None,
 ) -> bool:
-    """Evaluate a closed condition against a state. ``and``, ``or``,
-    ``=>`` and ``forall`` stop at the operand that decides them; the
-    operators that wait for an operand's value are on a stack."""
-    env = env or {}
+    """Evaluate a closed condition against a state."""
+    table = _table_of(model)
+    return _holds(model, table, cond, table.bits(model, state), env or {})
+
+
+def _holds(model: PromiseModel, table: _Table, cond: Condition, bits: int, env: dict[str, Agent]) -> bool:
+    """Evaluate a condition against the state with these bits in the
+    model's table: a ``p(...)`` test finds its promise's bit by the
+    agents' names and the body, and builds no ``Promise`` once that is
+    numbered. ``and``, ``or``, ``=>`` and ``forall`` stop at the operand
+    that decides them; the operators that wait for an operand's value are
+    on a stack."""
     waiting: list = []  # (operator, its env, the agents a forall has yet to try)
     while True:
         cls = cond.__class__
@@ -304,14 +311,16 @@ def eval_condition(
             cond = cond.operand if cls is Not else cond.left
             continue
         if cls is HasPromise:
-            value = Promise(_resolve(cond.promiser, env), cond.body, _resolve(cond.promisee, env)) in state
+            promiser, promisee = _resolve(cond.promiser, env), _resolve(cond.promisee, env)
+            value = bits >> table.number_of(model, promiser, cond.body, promisee) & 1 == 1
         elif cls is IsExclusive:
             value = is_exclusive(model.exclusiveness, cond.body)
         elif cls is TrueConst or cls is FalseConst:
             value = cls is TrueConst
         elif cls is ForAllAgents:
             excluded = _resolve(cond.excluding, env)
-            waiting.append((cond, env, iter([agent for agent in model.agents if agent != excluded])))
+            agents = [agent for agent in model.agents if agent.name != excluded.name]
+            waiting.append((cond, env, iter(agents)))
             value = True  # the conjunction over no agent tried so far
         else:
             raise TypeError(f"not a condition: {cond!r}")
@@ -442,16 +451,19 @@ class Configuration:
     """A process term paired with the promise state it runs against.
 
     Configurations are equal when their terms and states are. One that
-    ``step`` made holds its term as a control point of the model's engine
-    (see ``_Engine``) and builds the term only when it is read; two such
-    configurations compare their points, since a point is one term."""
+    the engine made holds its term as a control point of the model's
+    engine (see ``_Engine``) and its state as bits in the model's promise
+    table, and builds each only when it is read; two such configurations
+    compare their points and bits, since a point is one term and the
+    bits one state."""
 
-    __slots__ = ("_term", "state", "_point")
+    __slots__ = ("_term", "_state", "_point", "_bits")
 
     def __init__(self, term: ProcessTerm, state: State):
         _set(self, "_term", term)
-        _set(self, "state", state)
+        _set(self, "_state", state)
         _set(self, "_point", None)
+        _set(self, "_bits", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: configurations are immutable")
@@ -463,6 +475,12 @@ class Configuration:
         return self._term
 
     @property
+    def state(self) -> State:
+        if self._state is None:
+            _set(self, "_state", State._of(self._point.table, self._bits))
+        return self._state
+
+    @property
     def terminates(self) -> bool:
         """``can_terminate`` of the term, without building it."""
         point = self._point
@@ -471,17 +489,15 @@ class Configuration:
     def __eq__(self, other) -> bool:
         if other.__class__ is not Configuration:
             return NotImplemented
-        if self.state != other.state:
-            return False
         mine, theirs = self._point, other._point
-        if mine is not None and theirs is not None and mine.origin is theirs.origin:
-            return mine is theirs
-        return self.term == other.term
+        if mine is not None and theirs is not None and mine.table is theirs.table:
+            return mine is theirs and self._bits == other._bits
+        return self.state == other.state and self.term == other.term
 
     def __hash__(self) -> int:
         # equal configurations have equal states; hashing the term as well
         # would build every term that is held as a point
-        return hash(self.state.promises)
+        return hash(self.state)
 
     def __repr__(self) -> str:
         return f"Configuration(term={self.term!r}, state={self.state!r})"
@@ -503,23 +519,34 @@ def step(model: PromiseModel, config: Configuration) -> set[tuple[Event, Configu
     """All one-step transitions of a configuration: the symbolic moves of
     its control point whose guards hold in its state and whose action is
     enabled there."""
-    point = _control_point(model, config)
+    point, bits = _locate(model, config)
+    moves = _successors(model, point, bits)
+    return {(event, _configuration(successor, after)) for event, successor, after in moves}
+
+
+def _successors(model: PromiseModel, point: "_Point", bits: int) -> list[tuple[Event, "_Point", int]]:
+    """``step`` on a point of the model's engine and the bits of a state:
+    each transition once, as (event, successor point, successor bits). An
+    introduction is enabled when the bits miss its promise's clash mask,
+    a withdrawal when they hold its promise."""
     moves = point.moves if point.moves is not None else model._engine.derive(point)
-    state = config.state
-    found = set()
-    for guards, (event, promise, needed, withdraws), successor in moves:
-        while guards is not None and eval_condition(model, guards[0], state):
+    table = point.table
+    masks = table.masks
+    found = []
+    for guards, (event, flag, number, needed, withdraws), successor in moves:
+        while guards is not None and _holds(model, table, guards[0], bits, {}):
             guards = guards[1]
         if guards is not None:  # a guard does not hold
             continue
         if withdraws:
-            after = withdraw(state, promise) if pw_enabled(state, promise) else None
-        elif needed is None or needed in state:
-            after = try_introduce(model, state, promise)
-        else:
-            continue
-        if after is not None:
-            found.add((event, _configuration(successor, after)))
+            if bits & flag:
+                found.append((event, successor, bits ^ flag))
+        elif bits & needed == needed and not bits & masks[number]:
+            found.append((event, successor, bits | flag))
+    if len(found) > 1:
+        # two moves are one transition when they have one event and one
+        # successor; equal events share their action point, so are one object
+        found = list({(id(move[0]), move[1]): move for move in found}.values())
     return found
 
 
@@ -531,7 +558,9 @@ def step(model: PromiseModel, config: Configuration) -> set[tuple[Event, Configu
 # in parallel pCRL*, 2001, do the same for mCRL2's linear processes).
 # A point's symbolic moves are (guards, action, successor point), derived
 # once at its first step from its operands' moves; a step only evaluates
-# the guards and the action against the state. The guards are a linked
+# the guards and the action against the bits of the state (see
+# ``promise_state._Table``): the action's promise and any compliance
+# premise are numbered when the move is derived. The guards are a linked
 # list (condition, the guards inside it), outermost first, or None. A left
 # chain of ``.`` operands is its innermost operand and a hash-consed list
 # of the rest, so stepping along a sequence moves one place down that list.
@@ -542,20 +571,25 @@ class _Point:
     ``parts`` its operands as points: an action's event; a choice's or
     interleaving's two sides; a guard's condition and body; a sequence's
     innermost operand, which is never a sequence, and the ``_Cell`` list
-    of the operands after it. ``moves`` is None until derived. ``origin``
-    stands for the engine that made the point without referring to it:
-    the engine's tables refer to every point, and a cycle would keep a
-    model's tables alive until a garbage collection."""
+    of the operands after it. ``moves`` is None until derived. ``table``
+    is the promise table of the model whose engine made the point, which
+    numbers the bits of the states the point is paired with; it stands
+    for the engine without referring to it: the engine's tables refer to
+    every point, and a cycle would keep a model's tables alive until a
+    garbage collection."""
 
-    __slots__ = ("op", "parts", "terminates", "origin", "moves", "_term")
+    __slots__ = ("op", "parts", "terminates", "table", "moves", "_term")
 
-    def __init__(self, op, parts: tuple, terminates: bool, origin: object, moves=None, term=None):
+    def __init__(self, op, parts: tuple, terminates: bool, table: _Table, moves=None, term=None):
         self.op = op
         self.parts = parts
         self.terminates = terminates
-        self.origin = origin
+        self.table = table
         self.moves = moves
         self._term = term
+
+    def __str__(self) -> str:
+        return str(_term_of(self))
 
     def sources(self) -> list["_Point"]:
         """The points whose moves this point's moves are made of."""
@@ -587,16 +621,17 @@ class _Cell:
 class _Engine:
     """The terms stepped under one model, as control points. ``points``
     hash-conses them by class and operands, and ``cells`` the operand
-    lists. The tables live on the model (see ``_control_point``)."""
+    lists; ``table`` is the model's promise table. The tables live on the
+    model (see ``_locate``)."""
 
-    def __init__(self):
+    def __init__(self, table: _Table):
         self.points: dict[tuple, _Point] = {}
         self.cells: dict[tuple, _Cell] = {}
-        self.origin = object()
-        self.done = _Point(Done, (), True, self.origin, [], DONE)
-        self.deadlock = _Point(Deadlock, (), False, self.origin, [], DEADLOCK)
+        self.table = table
+        self.done = _Point(Done, (), True, self.table, [], DONE)
+        self.deadlock = _Point(Deadlock, (), False, self.table, [], DEADLOCK)
 
-    def compile(self, term: ProcessTerm) -> _Point:
+    def compile(self, model: PromiseModel, term: ProcessTerm) -> _Point:
         """The point of a term: each distinct subterm object is visited
         once, and each point is found or made from its operands' points."""
         points: dict[int, _Point] = {}  # by id: the term keeps its subterms alive
@@ -612,10 +647,10 @@ class _Engine:
                     pending.append((node, operands))
                     pending += missing
                     continue
-            points[id(node)] = self._point(node, [points[id(operand)] for operand in operands])
+            points[id(node)] = self._point(model, node, [points[id(operand)] for operand in operands])
         return points[id(term)]
 
-    def _point(self, term: ProcessTerm, operands: list[_Point]) -> _Point:
+    def _point(self, model: PromiseModel, term: ProcessTerm, operands: list[_Point]) -> _Point:
         cls = term.__class__
         if cls is Seq:
             rest = None
@@ -630,8 +665,8 @@ class _Engine:
             key = (Act, term.event)
             point = self.points.get(key)
             if point is None:
-                move = (None, _firing(term.event), self.done)
-                point = self.points[key] = _Point(Act, (term.event,), False, self.origin, [move])
+                move = (None, self._firing(model, term.event), self.done)
+                point = self.points[key] = _Point(Act, (term.event,), False, self.table, [move])
         elif cls is Guard:
             point = self._intern(Guard, term.condition, operands[0])
         else:
@@ -652,7 +687,7 @@ class _Engine:
                 terminates = left.terminates or right.terminates
             else:
                 terminates = left.terminates and right.terminates
-            point = self.points[key] = _Point(op, (left, right), terminates, self.origin)
+            point = self.points[key] = _Point(op, (left, right), terminates, self.table)
         return point
 
     def _cell(self, first: _Point, rest: _Cell | None) -> _Cell:
@@ -682,10 +717,28 @@ class _Engine:
                 point = self.points.get((Seq, first, rest))
             if point is None:
                 point = self.points[Seq, first, rest] = _Point(
-                    Seq, (first, rest), first.terminates and rest.terminates, self.origin
+                    Seq, (first, rest), first.terminates and rest.terminates, self.table
                 )
             self.points[key] = point
         return point
+
+    def _firing(self, model: PromiseModel, event: Event) -> tuple:
+        """What an action needs to fire, fixed once: (event, the flag of
+        the bit of the promise it introduces or withdraws, that bit's
+        number, the flag the state must hold first or 0, whether it
+        withdraws)."""
+        table = self.table
+        needed = 0
+        if isinstance(event, GeneralizedIntroduceEvent):
+            gp = event_promise(event)
+            promise = gp.induced()
+            needed = 1 << table.number(model, gp.compliance())
+        elif isinstance(event, (IntroduceEvent, WithdrawEvent)):
+            promise = event_promise(event)
+        else:
+            raise TypeError(f"not an event: {event!r}")
+        number = table.number(model, promise)
+        return event, 1 << number, number, needed, event.__class__ is WithdrawEvent
 
     def derive(self, point: _Point) -> list:
         """The point's symbolic moves, deriving those of the points they
@@ -750,40 +803,30 @@ def _operands(term: ProcessTerm) -> list:
     raise TypeError(f"not a process term: {term!r}")
 
 
-def _firing(event: Event) -> tuple:
-    """What an action needs to fire, fixed once: (event, the promise it
-    introduces or withdraws, the promise the state must hold first or
-    None, whether it withdraws)."""
-    if isinstance(event, IntroduceEvent):
-        return event, event_promise(event), None, False
-    if isinstance(event, WithdrawEvent):
-        return event, event_promise(event), None, True
-    if isinstance(event, GeneralizedIntroduceEvent):
-        gp = event_promise(event)
-        return event, gp.induced(), gp.compliance(), False
-    raise TypeError(f"not an event: {event!r}")
-
-
-def _control_point(model: PromiseModel, config: Configuration) -> _Point:
+def _locate(model: PromiseModel, config: Configuration) -> tuple[_Point, int]:
     """The configuration's point in the model's engine, which is made at
-    the model's first step; a configuration made from a term compiles it
-    at its first step and keeps the point."""
+    the model's first step, and its state's bits in the model's table. A
+    configuration made otherwise compiles its term and numbers its state
+    at its first step under the model, and keeps both."""
     engine = model._engine
     if engine is None:
-        engine = _Engine()
+        engine = _Engine(_table_of(model))
         _set(model, "_engine", engine)
     point = config._point
-    if point is None or point.origin is not engine.origin:
-        point = engine.compile(config.term)
+    if point is None or point.table is not engine.table:
+        state = config.state  # read before the point it may be built from changes
+        point = engine.compile(model, config.term)
+        _set(config, "_bits", engine.table.bits(model, state))
         _set(config, "_point", point)
-    return point
+    return point, config._bits
 
 
-def _configuration(point: _Point, state: State) -> Configuration:
+def _configuration(point: _Point, bits: int) -> Configuration:
     config = object.__new__(Configuration)
     _set(config, "_term", point._term)
-    _set(config, "state", state)
+    _set(config, "_state", None)
     _set(config, "_point", point)
+    _set(config, "_bits", bits)
     return config
 
 
@@ -831,8 +874,8 @@ def make_protocol(model: PromiseModel, initiator: Agent, responder: Agent, body:
     """
     if not (is_service(body) and is_positive(body)):
         raise InvalidBody(f"protocol bodies must be positive services, got {body}")
-    use = usage(body)
-    refusal = negate(use)
+    use = model.interned(usage(body))
+    refusal = model.interned(negate(use))
     var = "c" if initiator.name != "c" else "c_"
     accept_guard = Implies(
         IsExclusive(use),

@@ -14,6 +14,12 @@ Two conflict-checking modes exist. The default checks conflicts per
 is noticeably more restrictive (it rules out simultaneously promising a
 body to one agent and its negation to another). The mode is carried on the
 model so that every rule, the interpreter, and the explorer agree on it.
+
+Each model numbers the promises it meets, one bit each, and keeps for
+every bit the mask of numbered promises that clash with it (see
+``_Table``). A state the speech acts or the engine make is an int of held
+bits: a promise is enabled when the state ANDed with its mask is zero,
+and the invariant is a mask test per held promise.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ from .task_algebra import (
     TaskAtom,
     TaskBody,
     TypeTag,
+    UnknownAtom,
+    all_bodies,
+    body_form,
     build_incompatibility,
     incompatible,
     is_exclusive,
@@ -129,12 +138,16 @@ class PromiseModel:
     incompatibility: IncompatibilityRelation
     exclusiveness: ExclusivenessRegistry
     strict_conflicts: bool = False
-    # name lookups, derived from ``agents`` and ``atoms``
+    # name lookups, derived from ``agents`` and ``atoms``; every body of
+    # every atom, made once, by (atom name, usage, negated)
     _agents_by_name: Mapping[str, Agent] = field(init=False, repr=False, compare=False)
     _atoms_by_name: Mapping[str, TaskAtom] = field(init=False, repr=False, compare=False)
+    _bodies: Mapping[tuple[str, bool, bool], TaskBody] = field(init=False, repr=False, compare=False)
     # the compiled terms of the process engine (``process_algebra._Engine``),
     # made at the first step under this model
     _engine: object = field(default=None, init=False, repr=False, compare=False)
+    # the numbered promises (``_Table``), made at their first use
+    _table: object = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -209,6 +222,8 @@ class PromiseModel:
     def __post_init__(self):
         object.__setattr__(self, "_agents_by_name", {a.name: a for a in self.agents})
         object.__setattr__(self, "_atoms_by_name", {a.name: a for a in self.atoms})
+        bodies = {(b.atom.name, b.usage, b.negated): b for b in all_bodies(self.atoms)}
+        object.__setattr__(self, "_bodies", bodies)
 
     def agent(self, name: str) -> Agent:
         if name not in self._agents_by_name:
@@ -219,7 +234,18 @@ class PromiseModel:
         return name in self._agents_by_name
 
     def body(self, text: str) -> TaskBody:
-        return parse_body(text, self._atoms_by_name)
+        """The model's own object for the body the text names."""
+        form = body_form(text)
+        body = self._bodies.get(form)
+        if body is None:
+            raise UnknownAtom(f"unknown task atom {form[0]!r}")
+        return body
+
+    def interned(self, body: TaskBody) -> TaskBody:
+        """The model's own object for a body equal to ``body``, or ``body``
+        when the model has none."""
+        own = self._bodies.get((body.atom.name, body.usage, body.negated))
+        return own if own == body else body
 
     def promise(self, promiser: str, body: str, promisee: str) -> "Promise":
         return Promise(self.agent(promiser), self.body(body), self.agent(promisee))
@@ -269,14 +295,122 @@ class GeneralizedPromise:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class State:
-    """An immutable set of non-conflicting basic promises."""
+_set = object.__setattr__  # fills fields of classes that refuse assignment
 
-    promises: frozenset[Promise] = frozenset()
+
+def _ones(bits: int) -> Iterator[int]:
+    """The numbers of the set bits, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+class _Table:
+    """The promises met under one model, each numbered by a bit in the
+    order first met, and for each bit the mask of the numbered promises
+    that clash with it (see ``clash``) under the model's mode; ``risky``
+    has the bits whose mask is not empty. A promise is found by its agents'
+    names and its body, so that no ``Promise`` or ``Agent`` is hashed. The
+    table refers to no model, which frees a model by reference counting;
+    the methods that number promises take it."""
+
+    __slots__ = ("promises", "masks", "risky", "_numbers", "_holders")
+
+    def __init__(self):
+        self.promises: list[Promise] = []
+        self.masks: list[int] = []
+        self.risky = 0
+        self._numbers: dict[tuple[str, TaskBody, str], int] = {}
+        self._holders: dict[tuple[str, TaskBody], list[int]] = {}  # by promiser and body
+
+    def find(self, promise: Promise) -> int | None:
+        """The promise's number, or None when it has none."""
+        return self._numbers.get((promise.promiser.name, promise.body, promise.promisee.name))
+
+    def number(self, model: PromiseModel, promise: Promise) -> int:
+        """The promise's number, given at its first sight."""
+        return self.number_of(model, promise.promiser, promise.body, promise.promisee)
+
+    def number_of(self, model: PromiseModel, promiser: Agent, body: TaskBody, promisee: Agent) -> int:
+        """The number of ``promiser:body->promisee``. At its first sight the
+        promise is tested only against numbered promises of its promiser
+        with its body or an incompatible one."""
+        key = (promiser.name, body, promisee.name)
+        number = self._numbers.get(key)
+        if number is None:
+            promise = Promise(promiser, body, promisee)
+            number = self._numbers[key] = len(self.promises)
+            mask = 0
+            for partner in (body, *model.incompatibility.partners.get(body, ())):
+                for other in self._holders.get((key[0], partner), ()):
+                    if clash(model, promise, self.promises[other]):
+                        mask |= 1 << other
+                        self.masks[other] |= 1 << number
+            if mask:
+                self.risky |= mask | 1 << number
+            self.promises.append(promise)
+            self.masks.append(mask)
+            self._holders.setdefault((key[0], body), []).append(number)
+        return number
+
+    def bits(self, model: PromiseModel, state: "State") -> int:
+        """The state's bits."""
+        if state._table is self:
+            return state._bits
+        bits = 0
+        for promise in state.promises:
+            bits |= 1 << self.number(model, promise)
+        return bits
+
+
+def _table_of(model: PromiseModel) -> _Table:
+    """The model's promise table, made at its first use."""
+    table = model._table
+    if table is None:
+        table = _Table()
+        _set(model, "_table", table)
+    return table
+
+
+class State:
+    """An immutable set of non-conflicting basic promises.
+
+    ``State(promises)`` holds the set. A state the speech acts or the
+    engine make holds its bits in a model's promise table instead, and
+    builds the set only when it is read. Equal states are equal whatever
+    they hold, and pickle as their promises."""
+
+    __slots__ = ("_promises", "_table", "_bits")
+
+    def __init__(self, promises: Iterable[Promise] = frozenset()):
+        _set(self, "_promises", frozenset(promises))
+        _set(self, "_table", None)
+        _set(self, "_bits", 0)
+
+    @classmethod
+    def _of(cls, table: _Table, bits: int) -> "State":
+        state = object.__new__(cls)
+        _set(state, "_promises", None)
+        _set(state, "_table", table)
+        _set(state, "_bits", bits)
+        return state
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: states are immutable")
+
+    @property
+    def promises(self) -> frozenset[Promise]:
+        if self._promises is None:
+            held = self._table.promises
+            _set(self, "_promises", frozenset(held[number] for number in _ones(self._bits)))
+        return self._promises
 
     def __contains__(self, promise: Promise) -> bool:
-        return promise in self.promises
+        if self._promises is None:
+            number = self._table.find(promise)
+            return number is not None and self._bits >> number & 1 == 1
+        return promise in self._promises
 
     def __iter__(self) -> Iterator[Promise]:
         return iter(self.promises)
@@ -284,8 +418,24 @@ class State:
     def __len__(self) -> int:
         return len(self.promises)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not State:
+            return NotImplemented
+        if self._table is not None and self._table is other._table:
+            return self._bits == other._bits
+        return self.promises == other.promises
+
+    def __hash__(self) -> int:
+        return hash(self.promises)
+
     def __str__(self) -> str:
         return "{" + ", ".join(sorted(str(p) for p in self.promises)) + "}"
+
+    def __repr__(self) -> str:
+        return f"State(promises={self.promises!r})"
+
+    def __reduce__(self):
+        return State, (self.promises,)
 
 
 EMPTY_STATE = State()
@@ -334,14 +484,18 @@ def clash(model: PromiseModel, p: Promise, q: Promise) -> str | None:
 
 def pi_enabled(model: PromiseModel, state: State, promise: Promise) -> bool:
     """True iff the promise clashes with nothing in the state."""
-    return not any(clash(model, promise, p) for p in state)
+    return try_introduce(model, state, promise) is not None
 
 
 def try_introduce(model: PromiseModel, state: State, promise: Promise) -> State | None:
-    """The state with the promise added, or None when it is not enabled."""
-    if pi_enabled(model, state, promise):
-        return State(state.promises | {promise})
-    return None
+    """The state with the promise added, or None when it is not enabled:
+    when the state's bits meet the promise's clash mask."""
+    table = _table_of(model)
+    number = table.number(model, promise)
+    bits = table.bits(model, state)
+    if bits & table.masks[number]:
+        return None
+    return State._of(table, bits | 1 << number)
 
 
 def introduce(model: PromiseModel, state: State, promise: Promise) -> State:
@@ -351,8 +505,11 @@ def introduce(model: PromiseModel, state: State, promise: Promise) -> State:
     blocking promise."""
     after = try_introduce(model, state, promise)
     if after is None:
+        table = _table_of(model)
+        blockers = table.bits(model, state) & table.masks[table.number(model, promise)]
+        held = table.promises
         reason, blocking = min(
-            ((why, p) for p in state if (why := clash(model, promise, p))),
+            ((clash(model, promise, held[number]), held[number]) for number in _ones(blockers)),
             key=lambda found: (found[0], str(found[1])),
         )
         raise NotEnabled(promise, reason, blocking)
@@ -368,7 +525,10 @@ def withdraw(state: State, promise: Promise) -> State:
     """Remove the promise from the state; raises NotPresent if absent."""
     if promise not in state:
         raise NotPresent(f"cannot withdraw absent promise {promise}")
-    return State(state.promises - {promise})
+    table = state._table
+    if table is None:
+        return State(state.promises - {promise})
+    return State._of(table, state._bits & ~(1 << table.find(promise)))
 
 
 def introduce_generalized(model: PromiseModel, state: State, gp: GeneralizedPromise) -> State:
@@ -408,21 +568,22 @@ def obligation_warnings(model: PromiseModel, gp: GeneralizedPromise) -> list[Obl
 def state_clashes(model: PromiseModel, state: State) -> list[tuple[str, Promise, Promise]]:
     """Every pair of promises in the state that clash, as (reason, first,
     second) with each pair and the list in rendered order. Empty for any
-    state reached through enabled introductions.
+    state reached through enabled introductions."""
+    return _clashes(model, _table_of(model).bits(model, state))
 
-    Only promises of one promiser with equal or incompatible bodies can
-    clash, so each promise is tested only against those."""
-    held: dict[tuple[Agent, TaskBody], list[Promise]] = {}
-    for p in state:
-        held.setdefault((p.promiser, p.body), []).append(p)
-    partners = model.incompatibility.partners
-    found = {
-        (reason, *sorted((p, q), key=str))
-        for p in state
-        for body in (p.body, *partners.get(p.body, ()))
-        for q in held.get((p.promiser, body), ())
-        if (reason := clash(model, p, q))
-    }
+
+def _clashes(model: PromiseModel, bits: int) -> list[tuple[str, Promise, Promise]]:
+    """``state_clashes`` of the state with these bits in the model's table:
+    each held promise whose mask is not empty is ANDed with the state, and
+    only the pairs found are told apart by ``clash``."""
+    table = _table_of(model)
+    promises, masks = table.promises, table.masks
+    found = []
+    for number in _ones(bits & table.risky):
+        for other in _ones(bits & masks[number]):
+            if other > number:
+                p, q = sorted((promises[number], promises[other]), key=str)
+                found.append((clash(model, p, q), p, q))
     return sorted(found, key=lambda c: (c[0], str(c[1]), str(c[2])))
 
 

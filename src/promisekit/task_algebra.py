@@ -34,6 +34,7 @@ __all__ = [
     "is_positive",
     "type_of",
     "all_bodies",
+    "body_form",
     "parse_body",
     "build_incompatibility",
     "incompatible",
@@ -74,6 +75,10 @@ class StoredHash:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which stores the hash again
+        return self.__class__, self._fields(self)[1:]
 
     def _nested_eq(self, other) -> bool:
         """Same class and equal fields, comparing the stored hashes first.
@@ -177,9 +182,10 @@ class UnknownAtom(ValueError):
     """A task-body expression names an atom that is not in the model."""
 
 
-def parse_body(text: str, atoms: Mapping[str, TaskAtom]) -> TaskBody:
-    """Parse concrete task-body syntax: optional ``!``/``~`` prefixes, then
-    an atom name. Repeated prefixes self-cancel (``!!x`` is ``x``)."""
+def body_form(text: str) -> tuple[str, bool, bool]:
+    """Concrete task-body syntax as (atom name, usage, negated): optional
+    ``!``/``~`` prefixes, then an atom name. Repeated prefixes self-cancel
+    (``!!x`` is ``x``)."""
     s = text.strip()
     usage_flag = negated_flag = False
     i = 0
@@ -189,7 +195,12 @@ def parse_body(text: str, atoms: Mapping[str, TaskAtom]) -> TaskBody:
         else:
             usage_flag = not usage_flag
         i += 1
-    name = s[i:]
+    return s[i:], usage_flag, negated_flag
+
+
+def parse_body(text: str, atoms: Mapping[str, TaskAtom]) -> TaskBody:
+    """Parse concrete task-body syntax (see ``body_form``)."""
+    name, usage_flag, negated_flag = body_form(text)
     if name not in atoms:
         raise UnknownAtom(f"unknown task atom {name!r}")
     return TaskBody(atoms[name], usage_flag, negated_flag)

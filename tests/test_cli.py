@@ -9,7 +9,7 @@ import pytest
 from promisekit.corpus import corpus_path
 from promisekit.dsl import parse_scenario, parse_term
 
-from helpers import run_cli
+from helpers import long_negotiation, run_cli
 
 JUB = str(corpus_path("jub.promise"))
 LAWS = str(corpus_path("laws.promise"))
@@ -248,24 +248,13 @@ class TestUsage:
         assert "unrecognized arguments" in err
 
 
-def _long_negotiation(goods: int) -> tuple[str, list[str]]:
-    """A negotiation of ``4 * goods`` events in one sequence, and its only
-    maximal trace: every good is promised and its use promised, then every
-    promise is withdrawn."""
-    names = [f"g{i}" for i in range(goods)]
-    events = [e for g in names for e in (f"pi(s, {g}, m)", f"pi(m, ~{g}, s)")]
-    events += [e for g in names for e in (f"pw(s, {g}, m)", f"pw(m, ~{g}, s)")]
-    lines = ["agent s m", "type t", *(f"task {g} : t" for g in names), "run " + " . ".join(events)]
-    return "\n".join(lines) + "\n", events
-
-
 class TestLongSequences:
     """Scenario size is bounded by the node limit, not by the interpreter's
     recursion limit."""
 
     @pytest.fixture(scope="class")
     def negotiation(self, tmp_path_factory):
-        text, events = _long_negotiation(150)
+        text, events = long_negotiation(150)
         directory = tmp_path_factory.mktemp("long")
         (directory / "long.promise").write_text(text, encoding="utf-8")
         (directory / "long.txt").write_text("\n".join(events) + "\n", encoding="utf-8")

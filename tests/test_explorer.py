@@ -7,12 +7,14 @@ recursive enumerator in sos_oracle.
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from promisekit import promise_state
 from promisekit.corpus import corpus_text
 from promisekit.dsl import parse_scenario, parse_trace
 from promisekit.explorer import (
@@ -47,6 +49,7 @@ from promisekit.process_algebra import (
 from promisekit.promise_state import EMPTY_STATE, Agent, Promise, State
 from promisekit.task_algebra import GAMMA
 
+from helpers import long_negotiation, run_cli
 from scenario_gen import random_scenario_text
 from sos_oracle import explorer_trace_set, oracle_traces
 
@@ -213,6 +216,52 @@ class TestLinearSequences:
             counts.append(len(made))
         # a step that rebuilt the rest of the sequence would make four times as many
         assert counts[1] <= 2 * counts[0] + 10
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("refusals", [False, True])
+    def test_clash_calls_in_an_explore_grow_linearly(self, strict, refusals, tmp_path, monkeypatch):
+        # enabledness and the invariant AND bit masks; ``clash`` is asked
+        # only when a promise is first numbered and for pairs that clash,
+        # where a scan of the held promises would ask it quadratically
+        # often. With ``refusals`` each use is followed by a refusal that
+        # its use blocks, so that every good numbers a clashing pair.
+        calls = []
+
+        def counting(*args, _clash=promise_state.clash):
+            calls.append(args)
+            return _clash(*args)
+
+        monkeypatch.setattr(promise_state, "clash", counting)
+        counts = []
+        for goods in (25, 50, 100):
+            text, events = long_negotiation(goods)
+            if refusals:
+                text = re.sub(r"pi\(m, ~(\w+), s\)", r"pi(m, ~\1, s) . (pi(m, !~\1, s) + ok)", text)
+            path = tmp_path / f"negotiation{goods}.promise"
+            path.write_text(text, encoding="utf-8")
+            calls.clear()
+            code, out, _ = run_cli(["explore", str(path), *(["--strict-conflicts"] * strict)])
+            assert code == 0 and out.splitlines()[:3] == [f"nodes: {len(events) + 1}", f"edges: {len(events)}", "traces: 1"]
+            counts.append(len(calls))
+        assert counts[1] <= 2 * counts[0] + 10 and counts[2] <= 2 * counts[1] + 10
+        assert (counts[0] > 0) is refusals
+
+    def test_a_long_build_and_invariant_check_hash_no_promise(self, monkeypatch):
+        # states are ints of bits and promises are found by their agents'
+        # names: nothing on the way hashes a Promise, an Agent or a State
+        text, _ = long_negotiation(500)
+        scenario = parse_scenario(text)
+        hashed = []
+        for cls in (Promise, Agent, State):
+            def counting(self, _hash=cls.__hash__):
+                hashed.append(self)
+                return _hash(self)
+
+            monkeypatch.setattr(cls, "__hash__", counting)
+        lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state))
+        assert check_invariants(scenario.model, lts) == []
+        assert (len(lts.nodes), len(lts.edges)) == (2_001, 2_000)
+        assert hashed == []
 
 
 class TestMaximalTraces:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from dataclasses import fields, replace
 from functools import partial, reduce
@@ -482,3 +483,40 @@ class TestConditionOracle:
             cond = wraps[i % 3](cond)
         # 1,667 negations of true
         assert eval_condition(ORACLE_MODEL, cond, EMPTY_STATE) is False
+
+
+class TestPickling:
+    """Classes that store their hash rebuild it when unpickled, and a
+    state made as bits pickles as its promises."""
+
+    def _round_trip(self, value):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value) and str(copy) == str(value)
+        return copy
+
+    def test_terms_conditions_bodies_and_events(self, ride_model):
+        a, b = ride_model.agent("ja"), ride_model.agent("ma")
+        body = ride_model.body("~tbc2JUB")
+        events = [
+            IntroduceEvent(a, body, b),
+            WithdrawEvent(a, body, b),
+            GeneralizedIntroduceEvent(a, b, body, b, a),
+        ]
+        act = Act(events[0])
+        condition = ForAllAgents(
+            "v", a, Implies(IsExclusive(body), Or(And(TRUE, Not(HasPromise(a, body, AgentVar("v")))), FALSE))
+        )
+        terms = [DONE, DEADLOCK, act, Seq(act, DONE), Alt(act, DEADLOCK), Par(act, act), Guard(condition, act)]
+        for value in [GAMMA, body, *events, condition, *terms]:
+            self._round_trip(value)
+        assert self._round_trip(Seq(DONE, DONE)).terminates is True
+
+    def test_states_and_a_stepped_configuration(self, ride_model):
+        offer = ride_model.promise("ja", "tbc2JUB", "ma")
+        made = introduce(ride_model, EMPTY_STATE, offer)
+        assert b"_Table" not in pickle.dumps(made)
+        assert self._round_trip(made).promises == frozenset({offer})
+        self._round_trip(State(frozenset({offer})))
+        [(event, config)] = step(ride_model, Configuration(Act(IntroduceEvent(offer.promiser, offer.body, offer.promisee)), EMPTY_STATE))
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config and copy.state == made and copy.term == DONE

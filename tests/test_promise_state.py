@@ -29,9 +29,10 @@ from promisekit.promise_state import (
     pi_enabled,
     pw_enabled,
     state_clashes,
+    try_introduce,
     withdraw,
 )
-from promisekit.task_algebra import GAMMA, all_bodies
+from promisekit.task_algebra import GAMMA, UnknownAtom, all_bodies
 
 from sos_oracle import _intro_allowed
 
@@ -291,6 +292,7 @@ class TestOracleAgreement:
         state = State(held)
         enabled = _intro_allowed(model, held, candidate)
         assert pi_enabled(model, state, candidate) == enabled
+        assert (try_introduce(model, state, candidate) is not None) == enabled
         if enabled:
             assert introduce(model, state, candidate) == State(held | {candidate})
         else:
@@ -308,3 +310,95 @@ class TestOracleAgreement:
         ]
         expected = sorted(every_pair, key=lambda c: (c[0], str(c[1]), str(c[2])))
         assert state_clashes(model, State(held)) == expected
+
+
+class TestInternedBodies:
+    def test_one_object_per_body(self, ride_model):
+        for text in ("tbc2JUB", "~tbc2JUB", "!tbc2JUB", "!~tbc2JUB", "~!tbc2JUB", "gamma"):
+            assert ride_model.body(text) is ride_model.body(text)
+        assert ride_model.body("~!tbc2JUB") is ride_model.body("!~tbc2JUB")
+        assert ride_model.body("!!tbc2JUB") is ride_model.body("tbc2JUB")
+
+    def test_the_dsl_returns_the_model_bodies(self, ride):
+        # every occurrence in the corpus scenario, protocol bodies included,
+        # is the model's one object for its body
+        from promisekit.process_algebra import Act
+
+        model = ride.model
+        pending, seen = [ride.entry], 0
+        while pending:
+            term = pending.pop()
+            if isinstance(term, Act):
+                assert term.event.body is model.body(str(term.event.body))
+                seen += 1
+            pending += [getattr(term, name) for name in ("left", "right", "body") if hasattr(term, name)]
+        assert seen > 0
+
+    def test_unknown_atom(self, ride_model):
+        with pytest.raises(UnknownAtom, match="unknown task atom 'nosuch'"):
+            ride_model.body("~nosuch")
+
+
+def _pairwise_clashes(model, held):
+    """The invariant by testing every pair with the clash rule."""
+    pairs = [(reason, *sorted((p, q), key=str)) for p, q in combinations(held, 2) if (reason := clash(model, p, q))]
+    return sorted(pairs, key=lambda c: (c[0], str(c[1]), str(c[2])))
+
+
+class TestBitmaskDifferential:
+    """The bitmask rules on states reached through the speech acts, in
+    both conflict modes; ``TestOracleAgreement`` takes hand-made sets
+    that may clash."""
+
+    @given(st.lists(st.tuples(ORACLE_PROMISES, st.booleans()), max_size=16), ORACLE_PROMISES, st.booleans())
+    def test_reached_states(self, acts, candidate, strict):
+        model = replace(ORACLE_MODEL, strict_conflicts=strict)
+        state, held = EMPTY_STATE, frozenset()
+        for promise, withdrawing in acts:
+            if withdrawing and promise in state:
+                state, held = withdraw(state, promise), held - {promise}
+            elif (after := try_introduce(model, state, promise)) is not None:
+                state, held = after, held | {promise}
+            assert state == State(held) and hash(state) == hash(State(held))
+            assert set(state) == held and len(state) == len(held) and str(state) == str(State(held))
+            assert all(p in state for p in held) and (candidate in state) is (candidate in held)
+        # against the pairwise clash reference and the oracle
+        enabled = not any(clash(model, candidate, p) for p in held)
+        assert _intro_allowed(model, held, candidate) is enabled
+        assert pi_enabled(model, state, candidate) is enabled
+        after = try_introduce(model, state, candidate)
+        assert (after is not None) is enabled
+        if enabled:
+            assert after == State(held | {candidate}) and after.promises == held | {candidate}
+        assert state_clashes(model, state) == _pairwise_clashes(model, held)
+
+    @given(st.lists(ORACLE_PROMISES, min_size=2, max_size=12, unique=True), st.booleans())
+    def test_first_sight_order_does_not_matter(self, promises, strict):
+        # one model numbers the promises in list order, another in reverse;
+        # every answer and its rendering are the same
+        answers, tables = [], []
+        for order in (promises, promises[::-1]):
+            model = replace(ORACLE_MODEL, strict_conflicts=strict)
+            for promise in order:
+                pi_enabled(model, EMPTY_STATE, promise)
+            tables.append(list(model._table.promises))
+            held = State(frozenset(promises))
+            answers.append((
+                [pi_enabled(model, State(frozenset(promises[:i])), p) for i, p in enumerate(promises)],
+                state_clashes(model, held),
+                str(try_introduce(model, EMPTY_STATE, promises[0])),
+            ))
+        assert tables == [promises, promises[::-1]]
+        assert answers[0] == answers[1]
+        assert answers[0][1] == _pairwise_clashes(model, frozenset(promises))
+
+    def test_a_state_is_numbered_under_each_model(self):
+        # a state made under one model's table is read under another's
+        first, second = (replace(ORACLE_MODEL, strict_conflicts=strict) for strict in (False, True))
+        a, b = first.agent("a"), first.agent("b")
+        up, down = Promise(a, first.body("~x"), b), Promise(a, first.body("!~x"), first.agent("c"))
+        state = introduce(first, introduce(first, EMPTY_STATE, up), down)
+        assert state == State(frozenset({up, down}))
+        assert state_clashes(second, state) == [("conflict", down, up)]
+        assert not pi_enabled(second, withdraw(state, down), down)
+        assert state == State(frozenset({up, down})) and withdraw(state, up) == State(frozenset({down}))
