@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .process_algebra import (
     Configuration,
@@ -21,7 +22,7 @@ from .process_algebra import (
     _configuration,
     _locate,
     _Point,
-    _successors,
+    step,
 )
 from .promise_state import PromiseModel, State, _clashes
 
@@ -77,26 +78,24 @@ def transitions(
     report uses: by rendered event, then successor term, then state. An
     exploration keeps ``texts`` for all its calls, so that no event, term
     or state is rendered twice."""
-    point, bits = _locate(model, config)
-    return [
-        (event, _configuration(successor, after))
-        for event, successor, after in _ordered(model, point, bits, texts)
-    ]
+    moves = _ordered(model, _locate(model, config), texts)
+    return [(event, _configuration(*after)) for event, after in moves]
 
 
 def _ordered(
-    model: PromiseModel, point: _Point, bits: int, texts: _Renderings | None
-) -> list[tuple[Event, _Point, int]]:
-    """``transitions`` of a control point and the bits of a state."""
-    moves = _successors(model, point, bits)
+    model: PromiseModel, node: tuple[_Point, int], texts: _Renderings | None
+) -> list[tuple[Event, tuple[_Point, int]]]:
+    """``transitions`` of a (control point, bits) node, as ``step`` gives
+    them for a node."""
+    moves = step(model, node)
     if len(moves) > 1:
         texts = _Renderings() if texts is None else texts
-        if len({texts[event] for event, _, _ in moves}) == len(moves):
+        if len({texts[event] for event, _ in moves}) == len(moves):
             # distinct events decide the order: no successor is rendered
             moves.sort(key=lambda move: texts[move[0]])
         else:
-            table = point.table
-            moves.sort(key=lambda move: (texts[move[0]], texts[move[1]], texts[table, move[2]]))
+            table = node[0].table
+            moves.sort(key=lambda move: (texts[move[0]], texts[move[1][0]], texts[table, move[1][1]]))
     return moves
 
 
@@ -171,23 +170,23 @@ def build_lts(
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
     # each configuration by (control point, bits), to its one instance
-    seen = {_locate(model, initial): initial}
+    start = _locate(model, initial)
+    seen = {start: initial}
     texts = _Renderings()
     edges: list[tuple[Configuration, Event, Configuration]] = []
-    queue = deque([initial])
+    queue = deque([(start, initial)])
     truncated = False
     while queue:
-        config = queue.popleft()
-        for event, successor, after in _ordered(model, config._point, config._bits, texts):
-            key = (successor, after)
+        source, config = queue.popleft()
+        for event, key in _ordered(model, source, texts):
             node = seen.get(key)
             if node is None:
-                node = _configuration(successor, after)
+                node = _configuration(*key)
                 if len(seen) >= node_limit:
                     truncated = True
                 else:
                     seen[key] = node
-                    queue.append(node)
+                    queue.append((key, node))
             edges.append((config, event, node))
     lts = Lts(initial, tuple(seen.values()), tuple(edges))
     if truncated:
@@ -214,9 +213,9 @@ class Trace:
         return "\n".join(str(event) for event in self.events)
 
 
-def final_outcome(config: Configuration | _Point) -> Outcome:
-    """How a run ends that stopped in ``config`` (or at a control point):
-    successful when its term can terminate, deadlocked otherwise."""
+def final_outcome(config: Configuration) -> Outcome:
+    """How a run ends that stopped in ``config``: successful when its term
+    can terminate, deadlocked otherwise."""
     return Outcome.SUCCESSFUL if config.terminates else Outcome.DEADLOCKED
 
 
@@ -307,29 +306,25 @@ def verify_trace(
     point, bits); the promise state is identical across them because it
     is a function of the events.
     """
-    point, bits = _locate(model, initial)
 
-    def successors(node: tuple[_Point, int]) -> list[tuple[Event, tuple[_Point, int]]]:
-        return [(event, (successor, after)) for event, successor, after in _successors(model, *node)]
+    def ending(node: tuple[_Point, int]) -> Outcome:
+        return final_outcome(_configuration(*node))
 
-    def outcome(node: tuple[_Point, int]) -> Outcome:
-        return final_outcome(node[0])
-
-    def state(nodes: set[tuple[_Point, int]]) -> State:
-        return State._of(point.table, next(iter(nodes))[1])
-
-    current = {(point, bits)}
+    start = _locate(model, initial)
+    table = start[0].table
+    current = {start}
+    successors = partial(step, model)
     for index, wanted in enumerate(events):
-        targets, _ = _after(current, successors, outcome)
+        targets, _ = _after(current, successors, ending)
         if wanted not in targets:
             available = tuple(sorted(targets, key=str))
-            return Rejected(index=index, available=available, state=state(current))
+            return Rejected(index=index, available=available, state=State._of(table, next(iter(current))[1]))
         current = targets[wanted]
 
-    _, ends = _after(current, successors, outcome)
+    _, ends = _after(current, successors, ending)
     # successful if any terminal configuration is, None if none is terminal
     outcome = Outcome.SUCCESSFUL if Outcome.SUCCESSFUL in ends else next(iter(ends), None)
-    return Accepted(final_state=state(current), maximal=bool(ends), outcome=outcome)
+    return Accepted(final_state=State._of(table, next(iter(current))[1]), maximal=bool(ends), outcome=outcome)
 
 
 @dataclass(frozen=True)

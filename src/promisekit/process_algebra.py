@@ -515,20 +515,20 @@ def can_terminate(term: ProcessTerm) -> bool:
     return term.terminates
 
 
-def step(model: PromiseModel, config: Configuration) -> set[tuple[Event, Configuration]]:
+def step(
+    model: PromiseModel, config: "Configuration | tuple[_Point, int]"
+) -> "set[tuple[Event, Configuration]] | list[tuple[Event, tuple[_Point, int]]]":
     """All one-step transitions of a configuration: the symbolic moves of
     its control point whose guards hold in its state and whose action is
-    enabled there."""
-    point, bits = _locate(model, config)
-    moves = _successors(model, point, bits)
-    return {(event, _configuration(successor, after)) for event, successor, after in moves}
+    enabled there, as a set of (event, successor configuration).
 
-
-def _successors(model: PromiseModel, point: "_Point", bits: int) -> list[tuple[Event, "_Point", int]]:
-    """``step`` on a point of the model's engine and the bits of a state:
-    each transition once, as (event, successor point, successor bits). An
+    The explorer passes a node instead: a (control point of the model's
+    engine, bits of a state) pair. It gets a list of (event, successor
+    node), each transition once, and no configuration is made. An
     introduction is enabled when the bits miss its promise's clash mask,
     a withdrawal when they hold its promise."""
+    node = config.__class__ is tuple
+    point, bits = config if node else _locate(model, config)
     moves = point.moves if point.moves is not None else model._engine.derive(point)
     table = point.table
     masks = table.masks
@@ -540,13 +540,15 @@ def _successors(model: PromiseModel, point: "_Point", bits: int) -> list[tuple[E
             continue
         if withdraws:
             if bits & flag:
-                found.append((event, successor, bits ^ flag))
+                found.append((event, (successor, bits ^ flag)))
         elif bits & needed == needed and not bits & masks[number]:
-            found.append((event, successor, bits | flag))
+            found.append((event, (successor, bits | flag)))
+    if not node:
+        return {(event, _configuration(*after)) for event, after in found}
     if len(found) > 1:
         # two moves are one transition when they have one event and one
         # successor; equal events share their action point, so are one object
-        found = list({(id(move[0]), move[1]): move for move in found}.values())
+        found = list({(id(event), after): (event, after) for event, after in found}.values())
     return found
 
 
