@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from promisekit import promise_state
+from promisekit import explorer, promise_state
 from promisekit.corpus import corpus_text
 from promisekit.dsl import parse_scenario, parse_trace
 from promisekit.explorer import (
@@ -140,6 +140,24 @@ class TestBuildLts:
     def test_edges_agree_with_step(self, ride, ride_lts):
         for node in ride_lts.nodes:
             assert set(ride_lts.outgoing(node)) == step(ride.model, node)
+
+    def test_every_node_is_expanded_through_step(self, ride, ride_events, monkeypatch):
+        # a profiler or tracer that wraps ``step`` by name sees the
+        # explorer's per-node work: one call per node a build expands,
+        # one per node a replay reaches
+        calls = []
+
+        def counting(model, node):
+            calls.append(node)
+            return step(model, node)
+
+        monkeypatch.setattr(explorer, "step", counting)
+        initial = Configuration(ride.entry, ride.initial_state)
+        lts = build_lts(ride.model, initial)
+        assert len(calls) == len(lts.nodes) == RIDE_NODES
+        calls.clear()
+        assert isinstance(verify_trace(ride.model, initial, ride_events), Accepted)
+        assert len(calls) == len(ride_events) + 1
 
     def test_node_limit(self, ride):
         with pytest.raises(LimitExceeded) as exc:
