@@ -24,6 +24,7 @@ from .explorer import (
     DEFAULT_TRACE_LIMIT,
     Accepted,
     LimitExceeded,
+    _Renderings,
     build_lts,
     check_invariants,
     final_outcome,
@@ -246,7 +247,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     current = Configuration(scenario.entry, scenario.initial_state)
     events = []
-    while moves := transitions(scenario.model, current):
+    texts = _Renderings()  # one walk renders each event once
+    while moves := transitions(scenario.model, current, texts):
         event, current = rng.choice(moves)
         events.append(event)
     outcome = final_outcome(current)

@@ -246,7 +246,9 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     walk visits each event prefix once, with every node it reaches, and
     yields its own traces before its extensions in rendered-event order,
     so it stops at the first trace past ``max_traces`` in that order.
-    Nodes and events are walked as ids (see ``Lts``).
+    Nodes and events are walked as ids (see ``Lts``). Prefixes that reach
+    the same nodes share their extensions, so each distinct set of nodes
+    is expanded once per walk (Rabin & Scott's subset construction).
     """
     traces: list[Trace] = []
     events = lts._events
@@ -260,18 +262,26 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     # bounds the trace length; an entry is (prefix length, its last event,
     # the nodes it reaches), and ``path`` holds the prefix being visited
     path: list[Event] = []
-    stack: list[tuple[int, int, set[int]]] = [(0, -1, {lts._number(lts.initial, add=False)})]
+    stack: list[tuple[int, int, frozenset[int]]] = [(0, -1, frozenset({lts._number(lts.initial, add=False)}))]
+    # each set of nodes met: its outcomes in report order, and its
+    # (event, nodes it leads to) children in the order they are pushed
+    expanded: dict[frozenset[int], tuple[list[Outcome], list[tuple[int, frozenset[int]]]]] = {}
     while stack:
         length, event, nodes = stack.pop()
         if length:
             del path[length - 1 :]
             path.append(events[event])
-        targets, finals = _after(nodes, successors, outcome)
-        for end in sorted(finals, key=str):
+        found = expanded.get(nodes)
+        if found is None:
+            targets, finals = _after(nodes, successors, outcome)
+            children = [(event, frozenset(targets[event])) for event in sorted(targets, reverse=True)]
+            found = expanded[nodes] = sorted(finals, key=str), children
+        finals, children = found
+        for end in finals:
             traces.append(Trace(tuple(path), end))
             if len(traces) > max_traces:
                 raise LimitExceeded("trace", max_traces, partial=traces)
-        stack += [(length + 1, event, targets[event]) for event in sorted(targets, reverse=True)]
+        stack += [(length + 1, event, nodes) for event, nodes in children]
     return traces
 
 

@@ -274,7 +274,7 @@ def _render(node: "ProcessTerm | Condition") -> str:
 
 
 class UnboundVariable(ValueError):
-    """A condition was evaluated with a quantifier variable unbound."""
+    """A condition was compiled with a quantifier variable unbound."""
 
 
 def _resolve(ref: AgentRef, env: dict[str, Agent]) -> Agent:
@@ -291,60 +291,136 @@ def eval_condition(
     state: State,
     env: dict[str, Agent] | None = None,
 ) -> bool:
-    """Evaluate a closed condition against a state."""
+    """Evaluate a closed condition against a state: compile it under
+    ``env`` (see ``_compile``), then test the state's bits."""
     table = _table_of(model)
-    return _holds(model, table, cond, table.bits(model, state), env or {})
+    return _passes(_compile(model, table, cond, env or {}), table.bits(model, state))
 
 
-def _holds(model: PromiseModel, table: _Table, cond: Condition, bits: int, env: dict[str, Agent]) -> bool:
-    """Evaluate a condition against the state with these bits in the
-    model's table: a ``p(...)`` test finds its promise's bit by the
-    agents' names and the body, and builds no ``Promise`` once that is
-    numbered. ``and``, ``or``, ``=>`` and ``forall`` stop at the operand
-    that decides them; the operators that wait for an operand's value are
-    on a stack."""
-    waiting: list = []  # (operator, its env, the agents a forall has yet to try)
-    while True:
-        cls = cond.__class__
-        if cls is Not or cls is And or cls is Or or cls is Implies:
-            waiting.append((cond, env, None))
-            cond = cond.operand if cls is Not else cond.left
+# A compiled condition, a *test*, is (conj, mask, value, parts) over the
+# bits of a state in the model's promise table. A conjunction (conj True)
+# holds when ``bits & mask == value`` and every part holds; a disjunction
+# when ``bits & mask != value`` or some part holds. So the cube (mask,
+# value) tests at once a conjunction of ``p(...)`` leaves and negated
+# leaves, or a disjunction of them through its negation. The parts are
+# tests of the other kind. A test with no mask and no parts is a
+# constant: its kind is its value.
+_TRUE_TEST = (True, 0, 0, ())
+_FALSE_TEST = (False, 0, 0, ())
+
+
+def _join(conj: bool, tests) -> tuple:
+    """The conjunction (``conj``) or disjunction of tests. An operand of
+    the same kind merges its cube and parts into the result; so does a
+    single leaf, which is a test of either kind. A constant that decides
+    the result, or a leaf met with its negation, decides it at once."""
+    mask = value = 0
+    parts = []
+    for test in tests:
+        kind, bits, wanted, inner = test
+        if kind != conj and not inner:
+            if not bits:  # the constant that decides
+                return test
+            if bits & (bits - 1) == 0:  # one leaf, read as the other kind
+                kind, wanted = conj, wanted ^ bits
+        if kind != conj:
+            parts.append(test)
+        elif (value ^ wanted) & mask & bits:
+            return _FALSE_TEST if conj else _TRUE_TEST
+        else:
+            mask |= bits
+            value |= wanted
+            parts += inner
+    if not mask and len(parts) == 1:
+        return parts[0]
+    return conj, mask, value, tuple(parts)
+
+
+def _compile(model: PromiseModel, table: _Table, cond: Condition, env: dict[str, Agent]) -> tuple:
+    """The test of a condition under ``env``: each ``forall`` expanded
+    over the model's agents, ``E(...)``, ``true`` and ``false`` folded to
+    constants, each ``p(...)`` leaf numbered in the table, and negations
+    moved onto the leaves. Every agent variable is resolved, also in an
+    operand whose value would never be needed (but not in the body of a
+    ``forall`` over no agent, which is not expanded). Operators that wait
+    for their operands' tests are on a stack, as (conj, operand count)."""
+    tests: list[tuple] = []
+    pending: list[tuple] = [(cond, env, False)]
+    while pending:
+        item = pending.pop()
+        if len(item) == 2:
+            conj, count = item
+            start = len(tests) - count
+            joined = _join(conj, tests[start:])
+            del tests[start:]
+            tests.append(joined)
             continue
-        if cls is HasPromise:
-            promiser, promisee = _resolve(cond.promiser, env), _resolve(cond.promisee, env)
-            value = bits >> table.number_of(model, promiser, cond.body, promisee) & 1 == 1
-        elif cls is IsExclusive:
-            value = is_exclusive(model.exclusiveness, cond.body)
-        elif cls is TrueConst or cls is FalseConst:
-            value = cls is TrueConst
+        cond, env, negated = item
+        cls = cond.__class__
+        if cls is Not:
+            pending.append((cond.operand, env, not negated))
+        elif cls is And or cls is Or or cls is Implies:
+            # ``a => b`` is ``not a or b``; a negation swaps ``and`` and ``or``
+            pending += [
+                ((cls is And) != negated, 2),
+                (cond.right, env, negated),
+                (cond.left, env, negated != (cls is Implies)),
+            ]
         elif cls is ForAllAgents:
-            excluded = _resolve(cond.excluding, env)
-            agents = [agent for agent in model.agents if agent.name != excluded.name]
-            waiting.append((cond, env, iter(agents)))
-            value = True  # the conjunction over no agent tried so far
+            excluded = _resolve(cond.excluding, env).name
+            agents = [agent for agent in model.agents if agent.name != excluded]
+            pending.append((not negated, len(agents)))
+            pending += [(cond.body, {**env, cond.var: agent}, negated) for agent in reversed(agents)]
+        elif cls is HasPromise:
+            promiser, promisee = _resolve(cond.promiser, env), _resolve(cond.promisee, env)
+            bit = 1 << table.number_of(model, promiser, cond.body, promisee)
+            tests.append((True, bit, 0 if negated else bit, ()))
+        elif cls is IsExclusive:
+            tests.append(_TRUE_TEST if is_exclusive(model.exclusiveness, cond.body) != negated else _FALSE_TEST)
+        elif cls is TrueConst or cls is FalseConst:
+            tests.append(_TRUE_TEST if (cls is TrueConst) != negated else _FALSE_TEST)
         else:
             raise TypeError(f"not a condition: {cond!r}")
-        # hand the value up until an operator needs its next operand
-        while waiting:
-            node, outer, agents = waiting[-1]
-            cls = node.__class__
-            if cls is ForAllAgents:
-                agent = next(agents, None) if value else None
-                if agent is not None:
-                    cond, env = node.body, {**outer, node.var: agent}
-                    break
-                waiting.pop()
-                continue
-            waiting.pop()
-            if cls is Not:
-                value = not value
-            elif value == (cls is not Or):  # the right operand decides
-                cond, env = node.right, outer
-                break
-            else:
-                value = cls is not And
+    return tests[0]
+
+
+def _conjoin(test: tuple, inner: tuple | None) -> tuple:
+    """A guard's test and then ``inner``, the test of the guards inside it
+    (None when there is none). A conjunction's parts stay one part, so
+    that nested guards share them rather than copy them."""
+    if inner is None:
+        return test
+    conj, mask, value, parts = inner
+    if conj and parts:
+        inner = (True, mask, value, ((False, 0, 0, ((True, 0, 0, parts),)),))
+    return _join(True, (test, inner))
+
+
+def _passes(test: tuple, bits: int) -> bool:
+    """Whether the bits pass a test. A part's value is handed up until
+    an enclosing test needs its next part; the tests waiting for one are
+    on a stack."""
+    waiting: list = []  # (conj, the parts it has yet to try)
+    while True:
+        conj, mask, value, parts = test
+        if bits & mask != value:
+            result = not conj
+        elif parts:
+            parts = iter(parts)
+            waiting.append((conj, parts))
+            test = next(parts)
+            continue
         else:
-            return value
+            result = conj
+        while waiting:
+            conj, parts = waiting[-1]
+            if result == conj:  # undecided: the next part
+                test = next(parts, None)
+                if test is not None:
+                    break
+            waiting.pop()
+        else:
+            return result
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +595,9 @@ def step(
     model: PromiseModel, config: "Configuration | tuple[_Point, int]"
 ) -> "set[tuple[Event, Configuration]] | list[tuple[Event, tuple[_Point, int]]]":
     """All one-step transitions of a configuration: the symbolic moves of
-    its control point whose guards hold in its state and whose action is
-    enabled there, as a set of (event, successor configuration).
+    its control point whose guards' compiled test the bits of its state
+    pass and whose action is enabled there, as a set of (event, successor
+    configuration).
 
     The explorer passes a node instead: a (control point of the model's
     engine, bits of a state) pair. It gets a list of (event, successor
@@ -529,14 +606,11 @@ def step(
     a withdrawal when they hold its promise."""
     node = config.__class__ is tuple
     point, bits = config if node else _locate(model, config)
-    moves = point.moves if point.moves is not None else model._engine.derive(point)
-    table = point.table
-    masks = table.masks
+    moves = point.moves if point.moves is not None else model._engine.derive(model, point)
+    masks = point.table.masks
     found = []
-    for guards, (event, flag, number, needed, withdraws), successor in moves:
-        while guards is not None and _holds(model, table, guards[0], bits, {}):
-            guards = guards[1]
-        if guards is not None:  # a guard does not hold
+    for test, (event, flag, number, needed, withdraws), successor in moves:
+        if test is not None and not _passes(test, bits):
             continue
         if withdraws:
             if bits & flag:
@@ -558,12 +632,14 @@ def step(
 # A configuration's term is compiled into control points of its model's
 # engine, hash-consed so that equal terms are one point (Groote, Ponse & Usenko, *Linearization
 # in parallel pCRL*, 2001, do the same for mCRL2's linear processes).
-# A point's symbolic moves are (guards, action, successor point), derived
+# A point's symbolic moves are (test, action, successor point), derived
 # once at its first step from its operands' moves; a step only evaluates
-# the guards and the action against the bits of the state (see
+# the test and the action against the bits of the state (see
 # ``promise_state._Table``): the action's promise and any compliance
-# premise are numbered when the move is derived. The guards are a linked
-# list (condition, the guards inside it), outermost first, or None. A left
+# premise are numbered when the move is derived, and a guard's condition
+# is compiled then into a test (see ``_compile``), conjoined with the
+# tests of the guards inside it. The test is None when it always holds,
+# and a move whose test never holds is dropped. A left
 # chain of ``.`` operands is its innermost operand and a hash-consed list
 # of the rest, so stepping along a sequence moves one place down that list.
 
@@ -742,7 +818,7 @@ class _Engine:
         number = table.number(model, promise)
         return event, 1 << number, number, needed, event.__class__ is WithdrawEvent
 
-    def derive(self, point: _Point) -> list:
+    def derive(self, model: PromiseModel, point: _Point) -> list:
         """The point's symbolic moves, deriving those of the points they
         are made of first; waiting points are on a stack."""
         pending = [point]
@@ -756,31 +832,39 @@ class _Engine:
                 pending += missing
                 continue
             pending.pop()
-            node.moves = self._moves(node)
+            node.moves = self._moves(model, node)
         return point.moves
 
-    def _moves(self, point: _Point) -> list:
+    def _moves(self, model: PromiseModel, point: _Point) -> list:
         op = point.op
         if op is Alt:
             left, right = point.parts
             return left.moves if left is right else left.moves + right.moves
         if op is Guard:
             condition, body = point.parts
-            return [((condition, guards), action, successor) for guards, action, successor in body.moves]
+            test = _compile(model, self.table, condition, {})
+            if not (test[1] or test[3]):  # a constant
+                return body.moves if test[0] else []
+            moves = []
+            for inner, action, successor in body.moves:
+                both = _conjoin(test, inner)
+                if both[1] or both[3]:  # else a leaf met its negation
+                    moves.append((both, action, successor))
+            return moves
         if op is Par:
             left, right = point.parts
             intern = self._intern
-            return [(guards, action, intern(Par, successor, right)) for guards, action, successor in left.moves] + [
-                (guards, action, intern(Par, left, successor)) for guards, action, successor in right.moves
+            return [(test, action, intern(Par, successor, right)) for test, action, successor in left.moves] + [
+                (test, action, intern(Par, left, successor)) for test, action, successor in right.moves
             ]
         # a sequence: the innermost operand moves in place; once it can
         # terminate, the next operand moves and the chain drops a place
         first, rest = point.parts
         seq = self._seq
-        moves = [(guards, action, seq(successor, rest)) for guards, action, successor in first.moves]
+        moves = [(test, action, seq(successor, rest)) for test, action, successor in first.moves]
         while first.terminates and rest is not None:
             first, rest = rest.first, rest.rest
-            moves += [(guards, action, seq(successor, rest)) for guards, action, successor in first.moves]
+            moves += [(test, action, seq(successor, rest)) for test, action, successor in first.moves]
         return moves
 
 

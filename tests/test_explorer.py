@@ -26,6 +26,7 @@ from promisekit.explorer import (
     Trace,
     build_lts,
     check_invariants,
+    final_outcome,
     find_deadlocks,
     maximal_traces,
     verify_trace,
@@ -159,6 +160,31 @@ class TestBuildLts:
         assert isinstance(verify_trace(ride.model, initial, ride_events), Accepted)
         assert len(calls) == len(ride_events) + 1
 
+    def test_guards_are_compiled_once(self, monkeypatch):
+        # the accept guards number their p(...) leaves when they are
+        # compiled: the 2,160 steps of offers(4) look no promise up by name
+        calls = []
+        number_of = promise_state._Table.number_of
+
+        def counting(table, *args):
+            calls.append(args)
+            return number_of(table, *args)
+
+        monkeypatch.setattr(promise_state._Table, "number_of", counting)
+        scenario = parse_scenario(offers(4))
+        initial = Configuration(scenario.entry, scenario.initial_state)
+        calls.clear()
+        lts = build_lts(scenario.model, initial)
+        assert len(lts.nodes) == 2_160
+        # 13 promises: one call per promise each of the 20 actions names,
+        # and one per p(...) leaf of the 4 accept guards, each expanded
+        # over 4 agents
+        assert len(scenario.model._table.promises) == 13
+        assert len(calls) <= 5 * 4 + 4 * 4
+        calls.clear()
+        build_lts(scenario.model, initial)
+        assert calls == []
+
     def test_node_limit(self, ride):
         with pytest.raises(LimitExceeded) as exc:
             build_lts(ride.model, Configuration(ride.entry, ride.initial_state), node_limit=5)
@@ -282,6 +308,32 @@ class TestLinearSequences:
         assert hashed == []
 
 
+def _count_successor_reads(lts: Lts) -> list[int]:
+    """The nodes whose moves a walk of ``lts`` reads, in order, from now on."""
+    calls = []
+
+    class Counting(list):  # the walk reads a node's moves through this
+        def __getitem__(self, node):
+            calls.append(node)
+            return list.__getitem__(self, node)
+
+    lts._successors = Counting(lts._successors)
+    return calls
+
+
+def _first_traces_expanding_every_prefix(lts: Lts, count: int) -> list[Trace]:
+    """The first ``count`` traces in report order, found by expanding every
+    event prefix with the nodes it reaches from scratch."""
+    traces: list[Trace] = []
+    stack = [((), {lts._number(lts.initial, add=False)})]
+    while stack and len(traces) < count:
+        prefix, nodes = stack.pop()
+        targets, ends = explorer._after(nodes, lts._successors.__getitem__, lambda node: final_outcome(lts._ends[node]))
+        traces += [Trace(prefix, end) for end in sorted(ends, key=str)]
+        stack += [(prefix + (lts._events[event],), targets[event]) for event in sorted(targets, reverse=True)]
+    return traces[:count]
+
+
 class TestMaximalTraces:
     def test_golden_count_and_outcomes(self, ride_traces):
         assert len(ride_traces) == RIDE_TRACES
@@ -338,19 +390,24 @@ class TestMaximalTraces:
         initial = Configuration(scenario.entry, scenario.initial_state)
         lts = build_lts(scenario.model, initial)
         assert (len(lts.nodes), len(lts.edges)) == (33, 62)
-        calls = []
-
-        class Counting(list):  # the walk reads a node's moves through this
-            def __getitem__(self, node):
-                calls.append(node)
-                return list.__getitem__(self, node)
-
-        lts._successors = Counting(lts._successors)
+        calls = _count_successor_reads(lts)
         [trace] = maximal_traces(lts)
         assert len(calls) <= 33  # at most one per node; walking every path takes 131,071
         verdict = verify_trace(scenario.model, initial, trace.events)
         assert isinstance(verdict, Accepted)
         assert (verdict.maximal, verdict.outcome) == (True, Outcome.SUCCESSFUL)
+
+    def test_capped_walk_expands_each_set_of_nodes_once(self):
+        # 315,000 traces over 324 nodes: the prefixes before the cap reach
+        # each node alone, and the walk expands each such set once
+        scenario = parse_scenario(offers(3))
+        lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state))
+        expected = _first_traces_expanding_every_prefix(lts, 10_001)
+        calls = _count_successor_reads(lts)
+        with pytest.raises(LimitExceeded) as exc:
+            maximal_traces(lts, max_traces=10_000)
+        assert len(calls) <= len(lts.nodes) == 324  # 27,073 when every prefix is expanded
+        assert exc.value.partial == expected
 
     def test_enumeration_does_not_keep_the_lts_alive(self, ride):
         # freed by reference counting alone, without a garbage collection

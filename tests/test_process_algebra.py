@@ -41,7 +41,7 @@ from promisekit.process_algebra import (
     step,
 )
 from promisekit.explorer import transitions
-from promisekit.promise_state import EMPTY_STATE, Promise, PromiseModel, State, introduce
+from promisekit.promise_state import EMPTY_STATE, Promise, PromiseModel, State, _table_of, introduce
 from promisekit.task_algebra import GAMMA, all_bodies
 
 from scenario_gen import _random_condition, _random_term
@@ -78,6 +78,17 @@ class TestConditions:
         loose = HasPromise(AgentVar("nobody"), ride_model.body("tbc2JUB"), ride_model.agent("ma"))
         with pytest.raises(UnboundVariable):
             eval_condition(ride_model, loose, EMPTY_STATE)
+
+    def test_unbound_variable_where_the_value_is_never_needed(self, ride_model):
+        # a condition is compiled whole before it is evaluated, so a free
+        # variable raises even behind an operand that decides the value
+        loose = HasPromise(AgentVar("v"), ride_model.body("tbc2JUB"), ride_model.agent("ma"))
+        act = Act(IntroduceEvent(ride_model.agent("ja"), ride_model.body("tbc2JUB"), ride_model.agent("ma")))
+        for cond in (And(FALSE, loose), Or(TRUE, loose), Implies(FALSE, loose)):
+            with pytest.raises(UnboundVariable):
+                eval_condition(ride_model, cond, EMPTY_STATE)
+            with pytest.raises(UnboundVariable):
+                step(replace(ride_model), Configuration(Guard(cond, act), EMPTY_STATE))
 
     def test_quantifier_scoping_shadows(self, ride_model):
         # the bound variable ranges over all agents but the excluded one
@@ -475,6 +486,49 @@ class TestConditionOracle:
     def test_eval_condition_matches_the_oracle(self, rng, depth, held):
         cond = _random_condition(rng, ORACLE_MODEL, depth)
         assert eval_condition(ORACLE_MODEL, cond, State(held)) is _eval(ORACLE_MODEL, cond, held, {})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(1, 5),
+        st.integers(0, 3),
+        st.lists(PROMISES, max_size=8, unique=True),
+        st.frozensets(PROMISES, max_size=6),
+        st.booleans(),
+        EVENTS,
+    )
+    def test_compiled_guards_match_the_oracle(self, rng, depth, quantifiers, seen, held, strict, event):
+        # a fresh model per example, whose table numbers ``seen`` before the
+        # guards' leaves and the state's promises: a first-sight order that
+        # differs from example to example
+        model = replace(ORACLE_MODEL, strict_conflicts=strict)
+        for promise in seen:
+            _table_of(model).number(model, promise)
+        # ``depth`` operators under up to three nested quantifiers, each
+        # excluding an agent or an enclosing quantifier's variable
+        names = tuple(f"q{i}" for i in range(quantifiers))
+        cond = _random_condition(rng, model, depth, names)
+        for i in reversed(range(quantifiers)):
+            cond = ForAllAgents(names[i], rng.choice([*model.agents, *map(AgentVar, names[:i])]), cond)
+        assert eval_condition(model, cond, State(held)) is _eval(model, cond, held, {})
+        # the engine compiles a guard, and conjoins it with the guards inside
+        term = Guard(cond, Guard(_random_condition(rng, model, depth), Act(event)))
+        assert step(model, Configuration(term, State(held))) == {
+            (event, Configuration(succ, State(after))) for event, succ, after in _moves(model, term, held)
+        }
+
+    def test_deeply_nested_guards_compile_and_step_without_recursion(self):
+        # 3,000 nested guards, each a disjunction: their tests nest as deep
+        a, b = AGENTS_ALL[:2]
+        x, y = (ORACLE_MODEL.body(name) for name in ("x", "y"))
+        event = IntroduceEvent(a, y, b)
+        term = Act(event)
+        for _ in range(3_000):
+            term = Guard(Or(HasPromise(a, x, b), HasPromise(b, x, a)), term)
+        held = State(frozenset({Promise(b, x, a)}))
+        assert step(replace(ORACLE_MODEL), Configuration(term, EMPTY_STATE)) == set()
+        [(found, after)] = step(replace(ORACLE_MODEL), Configuration(term, held))
+        assert found == event and after.term == DONE
 
     def test_deep_conditions_evaluate_without_recursion(self):
         wraps = (Not, partial(Or, FALSE), partial(Implies, TRUE))
