@@ -65,7 +65,7 @@ class _Renderings(dict):
 
     def __missing__(self, item) -> str:
         if item.__class__ is tuple:
-            text = self[item] = str(State._of(*item))
+            text = self[item] = str(item[0].state(item[1]))
         else:
             text = self[item] = str(item)
         return text
@@ -105,8 +105,9 @@ class Lts:
     ``nodes`` are in breadth-first discovery order; per-node outgoing
     transitions are sorted by rendered event, then successor. Walks over
     the system use integer ids: a node's id is its place in ``nodes``,
-    and an edge's ends are found by identity first, so that a built
-    system never hashes a configuration. An end that is not in ``nodes``
+    and an edge's ends are found by identity, so that a built system
+    never hashes a configuration: each distinct configuration must be one
+    object, as ``build_lts`` makes it. An end that is not in ``nodes``
     (the edges of a truncated build) gets an id after them.
     """
 
@@ -121,7 +122,6 @@ class Lts:
         self.edges = edges
         self._ends = list(nodes)  # every edge end, by id
         self._ids = {id(node): number for number, node in enumerate(nodes)}
-        self._equal: dict[Configuration, int] | None = None
         # every distinct event, numbered in rendered order: ids sort as reports do
         self._events: list[Event] = sorted(dict.fromkeys(event for _, event, _ in edges), key=str)
         event_ids = {event: number for number, event in enumerate(self._events)}
@@ -132,25 +132,16 @@ class Lts:
         for source, event, target in moves:
             self._successors[source].append((event, target))
 
-    def _number(self, config: Configuration, add: bool = True) -> int:
-        """The id of an edge end: by identity, else by equality; a new
-        end gets the next id when ``add``, else it raises KeyError."""
+    def _number(self, config: Configuration) -> int:
+        """The id of an edge end; a new end gets the next id."""
         number = self._ids.get(id(config))
-        if number is not None:
-            return number
-        if self._equal is None:
-            self._equal = {end: number for number, end in enumerate(self._ends)}
-        number = self._equal.get(config)
         if number is None:
-            if not add:
-                raise KeyError(config)
-            number = self._equal[config] = len(self._ends)
+            number = self._ids[id(config)] = len(self._ends)  # the edges keep it alive
             self._ends.append(config)
-            self._ids[id(config)] = number  # the edges keep it alive
         return number
 
     def outgoing(self, config: Configuration) -> list[tuple[Event, Configuration]]:
-        moves = self._successors[self._number(config, add=False)]
+        moves = self._successors[self._ids[id(config)]]
         return [(self._events[event], self._ends[target]) for event, target in moves]
 
 
@@ -165,7 +156,7 @@ def build_lts(
     the bits of their state, and each is one object: every edge leads to
     the instance in ``nodes``. Raises LimitExceeded (with the partial
     system attached) when more than ``node_limit`` configurations are
-    reachable.
+    reachable; its ``nodes`` are the first ``node_limit``.
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
@@ -181,14 +172,13 @@ def build_lts(
         for event, key in _ordered(model, source, texts):
             node = seen.get(key)
             if node is None:
-                node = _configuration(*key)
-                if len(seen) >= node_limit:
+                node = seen[key] = _configuration(*key)
+                if len(seen) > node_limit:
                     truncated = True
                 else:
-                    seen[key] = node
                     queue.append((key, node))
             edges.append((config, event, node))
-    lts = Lts(initial, tuple(seen.values()), tuple(edges))
+    lts = Lts(initial, tuple(seen.values())[:node_limit], tuple(edges))
     if truncated:
         raise LimitExceeded("node", node_limit, partial=lts)
     return lts
@@ -262,7 +252,7 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     # bounds the trace length; an entry is (prefix length, its last event,
     # the nodes it reaches), and ``path`` holds the prefix being visited
     path: list[Event] = []
-    stack: list[tuple[int, int, frozenset[int]]] = [(0, -1, frozenset({lts._number(lts.initial, add=False)}))]
+    stack: list[tuple[int, int, frozenset[int]]] = [(0, -1, frozenset({lts._ids[id(lts.initial)]}))]
     # each set of nodes met: its outcomes in report order, and its
     # (event, nodes it leads to) children in the order they are pushed
     expanded: dict[frozenset[int], tuple[list[Outcome], list[tuple[int, frozenset[int]]]]] = {}
@@ -328,13 +318,13 @@ def verify_trace(
         targets, _ = _after(current, successors, ending)
         if wanted not in targets:
             available = tuple(sorted(targets, key=str))
-            return Rejected(index=index, available=available, state=State._of(table, next(iter(current))[1]))
+            return Rejected(index=index, available=available, state=table.state(next(iter(current))[1]))
         current = targets[wanted]
 
     _, ends = _after(current, successors, ending)
     # successful if any terminal configuration is, None if none is terminal
     outcome = Outcome.SUCCESSFUL if Outcome.SUCCESSFUL in ends else next(iter(ends), None)
-    return Accepted(final_state=State._of(table, next(iter(current))[1]), maximal=bool(ends), outcome=outcome)
+    return Accepted(final_state=table.state(next(iter(current))[1]), maximal=bool(ends), outcome=outcome)
 
 
 @dataclass(frozen=True)

@@ -340,10 +340,12 @@ def _compile(model: PromiseModel, table: _Table, cond: Condition, env: dict[str,
     """The test of a condition under ``env``: each ``forall`` expanded
     over the model's agents, ``E(...)``, ``true`` and ``false`` folded to
     constants, each ``p(...)`` leaf numbered in the table, and negations
-    moved onto the leaves. Every agent variable is resolved, also in an
-    operand whose value would never be needed (but not in the body of a
-    ``forall`` over no agent, which is not expanded). Operators that wait
-    for their operands' tests are on a stack, as (conj, operand count)."""
+    moved onto the leaves. A body that does not mention its quantifier's
+    variable is compiled once, however many agents it ranges over. Every
+    agent variable is resolved, also in an operand whose value would never
+    be needed (but not in the body of a ``forall`` over no agent, which is
+    not expanded). Operators that wait for their operands' tests are on a
+    stack, as (conj, operand count)."""
     tests: list[tuple] = []
     pending: list[tuple] = [(cond, env, False)]
     while pending:
@@ -369,6 +371,8 @@ def _compile(model: PromiseModel, table: _Table, cond: Condition, env: dict[str,
         elif cls is ForAllAgents:
             excluded = _resolve(cond.excluding, env).name
             agents = [agent for agent in model.agents if agent.name != excluded]
+            if len(agents) > 1 and not _mentions(cond.body, cond.var):
+                del agents[1:]  # every copy would be the same test
             pending.append((not negated, len(agents)))
             pending += [(cond.body, {**env, cond.var: agent}, negated) for agent in reversed(agents)]
         elif cls is HasPromise:
@@ -382,6 +386,26 @@ def _compile(model: PromiseModel, table: _Table, cond: Condition, env: dict[str,
         else:
             raise TypeError(f"not a condition: {cond!r}")
     return tests[0]
+
+
+def _mentions(cond: Condition, var: str) -> bool:
+    """Whether the agent variable ``var`` occurs free in the condition: a
+    ``forall`` that binds ``var`` again hides it in its body."""
+    pending = [cond]
+    while pending:
+        cond = pending.pop()
+        cls = cond.__class__
+        if cls is Not:
+            pending.append(cond.operand)
+        elif cls is And or cls is Or or cls is Implies:
+            pending += (cond.left, cond.right)
+        elif cls is HasPromise or cls is ForAllAgents:
+            refs = (cond.promiser, cond.promisee) if cls is HasPromise else (cond.excluding,)
+            if any(ref.__class__ is AgentVar and ref.name == var for ref in refs):
+                return True
+            if cls is ForAllAgents and cond.var != var:
+                pending.append(cond.body)
+    return False
 
 
 def _conjoin(test: tuple, inner: tuple | None) -> tuple:
@@ -430,8 +454,6 @@ def _passes(test: tuple, bits: int) -> bool:
 class Done:
     """The successfully terminated process."""
 
-    terminates = True
-
     def __str__(self) -> str:
         return "ok"
 
@@ -439,8 +461,6 @@ class Done:
 @dataclass(frozen=True, slots=True)
 class Deadlock:
     """The process with no behaviour at all."""
-
-    terminates = False
 
     def __str__(self) -> str:
         return "delta"
@@ -452,20 +472,6 @@ class _Term(_Node):
     would dominate."""
 
     __slots__ = ()
-    terminates = False
-
-
-class _Binary(_Term):
-    """Seq, Alt and Par also store ``terminates``, derived from their
-    children's stored values, so that no termination test walks a term."""
-
-    __slots__ = ("terminates",)
-    either = False  # one terminating side suffices (choice)
-
-    def __post_init__(self):
-        StoredHash.__post_init__(self)
-        left, right = self.left.terminates, self.right.terminates
-        object.__setattr__(self, "terminates", (left or right) if self.either else (left and right))
 
 
 @dataclass(frozen=True, slots=True)
@@ -477,7 +483,7 @@ class Act(_Term):
 
 
 @dataclass(frozen=True, slots=True)
-class Seq(_Binary):
+class Seq(_Term):
     left: "ProcessTerm"
     right: "ProcessTerm"
 
@@ -485,16 +491,15 @@ class Seq(_Binary):
 
 
 @dataclass(frozen=True, slots=True)
-class Alt(_Binary):
+class Alt(_Term):
     left: "ProcessTerm"
     right: "ProcessTerm"
 
-    either = True
     symbol, binding = "+", 1
 
 
 @dataclass(frozen=True, slots=True)
-class Par(_Binary):
+class Par(_Term):
     left: "ProcessTerm"
     right: "ProcessTerm"
 
@@ -529,9 +534,9 @@ class Configuration:
     Configurations are equal when their terms and states are. One that
     the engine made holds its term as a control point of the model's
     engine (see ``_Engine``) and its state as bits in the model's promise
-    table, and builds each only when it is read; two such configurations
-    compare their points and bits, since a point is one term and the
-    bits one state."""
+    table, and builds the term and the ``State`` only when they are read;
+    two such configurations compare their points and bits, since a point
+    is one term and the bits one state."""
 
     __slots__ = ("_term", "_state", "_point", "_bits")
 
@@ -553,14 +558,14 @@ class Configuration:
     @property
     def state(self) -> State:
         if self._state is None:
-            _set(self, "_state", State._of(self._point.table, self._bits))
+            _set(self, "_state", self._point.table.state(self._bits))
         return self._state
 
     @property
     def terminates(self) -> bool:
-        """``can_terminate`` of the term, without building it."""
+        """``can_terminate`` of the term, read from its control point."""
         point = self._point
-        return point.terminates if point is not None else self._term.terminates
+        return point.terminates if point is not None else can_terminate(self._term)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Configuration:
@@ -587,8 +592,10 @@ def can_terminate(term: ProcessTerm) -> bool:
 
     Sequence and parallel require both sides, choice either side; guards
     never terminate by themselves, they must fire through their body.
+    The rule is the control points': the term is compiled under no model
+    into an engine of its own, and its point's ``terminates`` read.
     """
-    return term.terminates
+    return _Engine(_Table()).compile(None, term).terminates
 
 
 def step(
@@ -709,9 +716,11 @@ class _Engine:
         self.done = _Point(Done, (), True, self.table, [], DONE)
         self.deadlock = _Point(Deadlock, (), False, self.table, [], DEADLOCK)
 
-    def compile(self, model: PromiseModel, term: ProcessTerm) -> _Point:
+    def compile(self, model: PromiseModel | None, term: ProcessTerm) -> _Point:
         """The point of a term: each distinct subterm object is visited
-        once, and each point is found or made from its operands' points."""
+        once, and each point is found or made from its operands' points.
+        Under no model an action's point gets no move, and is never
+        stepped."""
         points: dict[int, _Point] = {}  # by id: the term keeps its subterms alive
         pending: list = [(term, None)]
         while pending:
@@ -728,7 +737,7 @@ class _Engine:
             points[id(node)] = self._point(model, node, [points[id(operand)] for operand in operands])
         return points[id(term)]
 
-    def _point(self, model: PromiseModel, term: ProcessTerm, operands: list[_Point]) -> _Point:
+    def _point(self, model: PromiseModel | None, term: ProcessTerm, operands: list[_Point]) -> _Point:
         cls = term.__class__
         if cls is Seq:
             rest = None
@@ -743,8 +752,8 @@ class _Engine:
             key = (Act, term.event)
             point = self.points.get(key)
             if point is None:
-                move = (None, self._firing(model, term.event), self.done)
-                point = self.points[key] = _Point(Act, (term.event,), False, self.table, [move])
+                moves = None if model is None else [(None, self._firing(model, term.event), self.done)]
+                point = self.points[key] = _Point(Act, (term.event,), False, self.table, moves)
         elif cls is Guard:
             point = self._intern(Guard, term.condition, operands[0])
         else:

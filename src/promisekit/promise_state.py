@@ -17,9 +17,10 @@ model so that every rule, the interpreter, and the explorer agree on it.
 
 Each model numbers the promises it meets, one bit each, and keeps for
 every bit the mask of numbered promises that clash with it (see
-``_Table``). A state the speech acts or the engine make is an int of held
-bits: a promise is enabled when the state ANDed with its mask is zero,
-and the invariant is a mask test per held promise.
+``_Table``). A promise is enabled when the held bits ANDed with its mask
+are zero, and the invariant is a mask test per held promise. Bits stay
+inside the engine: a ``State`` is a set of promises, and the table
+converts between the two.
 """
 
 from __future__ import annotations
@@ -324,10 +325,6 @@ class _Table:
         self._numbers: dict[tuple[str, TaskBody, str], int] = {}
         self._holders: dict[tuple[str, TaskBody], list[int]] = {}  # by promiser and body
 
-    def find(self, promise: Promise) -> int | None:
-        """The promise's number, or None when it has none."""
-        return self._numbers.get((promise.promiser.name, promise.body, promise.promisee.name))
-
     def number(self, model: PromiseModel, promise: Promise) -> int:
         """The promise's number, given at its first sight."""
         return self.number_of(model, promise.promiser, promise.body, promise.promisee)
@@ -354,10 +351,12 @@ class _Table:
             self._holders.setdefault((key[0], body), []).append(number)
         return number
 
+    def state(self, bits: int) -> "State":
+        """The state that holds these bits."""
+        return State(self.promises[number] for number in _ones(bits))
+
     def bits(self, model: PromiseModel, state: "State") -> int:
-        """The state's bits."""
-        if state._table is self:
-            return state._bits
+        """The state's bits, numbering its promises at their first sight."""
         bits = 0
         for promise in state.promises:
             bits |= 1 << self.number(model, promise)
@@ -373,44 +372,19 @@ def _table_of(model: PromiseModel) -> _Table:
     return table
 
 
+@dataclass(frozen=True, slots=True)
 class State:
-    """An immutable set of non-conflicting basic promises.
+    """An immutable set of non-conflicting basic promises, made from any
+    iterable of them. The engine holds a state as bits of a model's
+    promise table instead (see ``_Table.state`` and ``_Table.bits``)."""
 
-    ``State(promises)`` holds the set. A state the speech acts or the
-    engine make holds its bits in a model's promise table instead, and
-    builds the set only when it is read. Equal states are equal whatever
-    they hold, and pickle as their promises."""
+    promises: frozenset[Promise] = frozenset()
 
-    __slots__ = ("_promises", "_table", "_bits")
-
-    def __init__(self, promises: Iterable[Promise] = frozenset()):
-        _set(self, "_promises", frozenset(promises))
-        _set(self, "_table", None)
-        _set(self, "_bits", 0)
-
-    @classmethod
-    def _of(cls, table: _Table, bits: int) -> "State":
-        state = object.__new__(cls)
-        _set(state, "_promises", None)
-        _set(state, "_table", table)
-        _set(state, "_bits", bits)
-        return state
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: states are immutable")
-
-    @property
-    def promises(self) -> frozenset[Promise]:
-        if self._promises is None:
-            held = self._table.promises
-            _set(self, "_promises", frozenset(held[number] for number in _ones(self._bits)))
-        return self._promises
+    def __post_init__(self):
+        _set(self, "promises", frozenset(self.promises))
 
     def __contains__(self, promise: Promise) -> bool:
-        if self._promises is None:
-            number = self._table.find(promise)
-            return number is not None and self._bits >> number & 1 == 1
-        return promise in self._promises
+        return promise in self.promises
 
     def __iter__(self) -> Iterator[Promise]:
         return iter(self.promises)
@@ -418,24 +392,8 @@ class State:
     def __len__(self) -> int:
         return len(self.promises)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not State:
-            return NotImplemented
-        if self._table is not None and self._table is other._table:
-            return self._bits == other._bits
-        return self.promises == other.promises
-
-    def __hash__(self) -> int:
-        return hash(self.promises)
-
     def __str__(self) -> str:
         return "{" + ", ".join(sorted(str(p) for p in self.promises)) + "}"
-
-    def __repr__(self) -> str:
-        return f"State(promises={self.promises!r})"
-
-    def __reduce__(self):
-        return State, (self.promises,)
 
 
 EMPTY_STATE = State()
@@ -492,10 +450,9 @@ def try_introduce(model: PromiseModel, state: State, promise: Promise) -> State 
     when the state's bits meet the promise's clash mask."""
     table = _table_of(model)
     number = table.number(model, promise)
-    bits = table.bits(model, state)
-    if bits & table.masks[number]:
+    if table.bits(model, state) & table.masks[number]:
         return None
-    return State._of(table, bits | 1 << number)
+    return State(state.promises | {promise})
 
 
 def introduce(model: PromiseModel, state: State, promise: Promise) -> State:
@@ -505,11 +462,8 @@ def introduce(model: PromiseModel, state: State, promise: Promise) -> State:
     blocking promise."""
     after = try_introduce(model, state, promise)
     if after is None:
-        table = _table_of(model)
-        blockers = table.bits(model, state) & table.masks[table.number(model, promise)]
-        held = table.promises
         reason, blocking = min(
-            ((clash(model, promise, held[number]), held[number]) for number in _ones(blockers)),
+            ((reason, held) for held in state if (reason := clash(model, promise, held))),
             key=lambda found: (found[0], str(found[1])),
         )
         raise NotEnabled(promise, reason, blocking)
@@ -525,10 +479,7 @@ def withdraw(state: State, promise: Promise) -> State:
     """Remove the promise from the state; raises NotPresent if absent."""
     if promise not in state:
         raise NotPresent(f"cannot withdraw absent promise {promise}")
-    table = state._table
-    if table is None:
-        return State(state.promises - {promise})
-    return State._of(table, state._bits & ~(1 << table.find(promise)))
+    return State(state.promises - {promise})
 
 
 def introduce_generalized(model: PromiseModel, state: State, gp: GeneralizedPromise) -> State:

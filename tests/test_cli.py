@@ -8,6 +8,7 @@ import pytest
 
 from promisekit.corpus import corpus_path
 from promisekit.dsl import parse_scenario, parse_term
+from promisekit.process_algebra import can_terminate
 
 from helpers import long_negotiation, run_cli
 
@@ -421,6 +422,14 @@ class TestDeepNesting:
         assert (code, err, out.splitlines()[:2]) == (0, "", ["pi(s[c], g, s[s])", "outcome: successful"])
         code, out, err = run_cli(["verify-trace", str(scenario), "--trace", str(trace)])
         assert (code, err, out.splitlines()[:2]) == (0, "", ["accepted", "maximal: yes"])
+
+    def test_termination_of_deep_terms(self):
+        # decided on control points, which are compiled with explicit stacks
+        model = parse_scenario(HEAD + "run ok\n").model
+        expected = {"parentheses": True, "guards": False, "operators": True}
+        for name, finished in expected.items():
+            assert can_terminate(parse_term(DEEP_INPUTS[name], model)) is False
+            assert can_terminate(parse_term(DEEP_INPUTS[name].replace("pi(s, g, c)", "ok"), model)) is finished
 
     @pytest.mark.parametrize("name", DEEP_INPUTS)
     def test_every_command_takes_deep_input(self, tmp_path, name):

@@ -188,8 +188,15 @@ class TestBuildLts:
     def test_node_limit(self, ride):
         with pytest.raises(LimitExceeded) as exc:
             build_lts(ride.model, Configuration(ride.entry, ride.initial_state), node_limit=5)
-        assert exc.value.partial is not None
-        assert len(exc.value.partial.nodes) == 5
+        partial = exc.value.partial
+        assert partial is not None
+        assert len(partial.nodes) == 5
+        # an edge end past the nodes is one object per configuration, so
+        # that the system finds it by identity
+        nodes = {id(node) for node in partial.nodes}
+        outside = {id(end): end for source, _, target in partial.edges for end in (source, target) if id(end) not in nodes}
+        assert len(outside) > 1
+        assert len({(end.term, end.state) for end in outside.values()}) == len(outside)
 
     @pytest.mark.parametrize(
         "text",
@@ -325,7 +332,7 @@ def _first_traces_expanding_every_prefix(lts: Lts, count: int) -> list[Trace]:
     """The first ``count`` traces in report order, found by expanding every
     event prefix with the nodes it reaches from scratch."""
     traces: list[Trace] = []
-    stack = [((), {lts._number(lts.initial, add=False)})]
+    stack = [((), {lts._ids[id(lts.initial)]})]
     while stack and len(traces) < count:
         prefix, nodes = stack.pop()
         targets, ends = explorer._after(nodes, lts._successors.__getitem__, lambda node: final_outcome(lts._ends[node]))

@@ -10,6 +10,8 @@ from functools import partial, reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from promisekit import process_algebra
+from promisekit.dsl import parse_scenario
 from promisekit.process_algebra import (
     Act,
     AgentVar,
@@ -34,13 +36,14 @@ from promisekit.process_algebra import (
     TRUE,
     UnboundVariable,
     WithdrawEvent,
+    _join,
     can_terminate,
     eval_condition,
     event_promise,
     make_protocol,
     step,
 )
-from promisekit.explorer import transitions
+from promisekit.explorer import build_lts, transitions
 from promisekit.promise_state import EMPTY_STATE, Promise, PromiseModel, State, _table_of, introduce
 from promisekit.task_algebra import GAMMA, all_bodies
 
@@ -183,6 +186,7 @@ class TestTermination:
     )
     def test_cases(self, term, expected):
         assert can_terminate(term) is expected
+        assert Configuration(term, EMPTY_STATE).terminates is expected
 
     def test_action_cannot_terminate(self, ride_model):
         event = IntroduceEvent(ride_model.agent("ja"), ride_model.body("tbc2JUB"), ride_model.agent("ma"))
@@ -530,6 +534,35 @@ class TestConditionOracle:
         [(found, after)] = step(replace(ORACLE_MODEL), Configuration(term, held))
         assert found == event and after.term == DONE
 
+    def test_a_body_that_ignores_its_variable_is_compiled_once(self, monkeypatch):
+        # 16 nested quantifiers over two agents each: expanding every body
+        # over both agents makes 196,605 joins
+        text = "true"
+        for i in reversed(range(16)):
+            text = f"forall v{i} != c : (p(s, g, c) or {text})"
+        scenario = parse_scenario(f"agent s c m\ntype t\ntask g : t\nrun pi(s, g, c) . [{text}] -> pi(s, g, m)")
+        joins = []
+        monkeypatch.setattr(process_algebra, "_join", lambda *args: joins.append(1) or _join(*args))
+        lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state))
+        assert (len(lts.nodes), len(lts.edges)) == (3, 2)
+        assert len(joins) <= 64
+
+    def test_a_rebound_variable_is_hidden_from_its_quantifier(self):
+        # ``v`` inside the inner quantifier is the inner one's, except in
+        # the agent it excludes
+        a, b = AGENTS_ALL[:2]
+        x = ORACLE_MODEL.body("x")
+        inner = ForAllAgents("v", b, HasPromise(AgentVar("v"), x, a))
+        conditions = (
+            ForAllAgents("v", a, inner),
+            ForAllAgents("v", a, Or(inner, HasPromise(AgentVar("v"), x, b))),
+            ForAllAgents("v", a, ForAllAgents("w", AgentVar("v"), HasPromise(AgentVar("w"), x, a))),
+        )
+        promises = [Promise(promiser, x, promisee) for promiser in AGENTS_ALL for promisee in (a, b)]
+        for held in (frozenset(), *(frozenset({p}) for p in promises), frozenset(promises)):
+            for cond in conditions:
+                assert eval_condition(ORACLE_MODEL, cond, State(held)) is _eval(ORACLE_MODEL, cond, held, {})
+
     def test_deep_conditions_evaluate_without_recursion(self):
         wraps = (Not, partial(Or, FALSE), partial(Implies, TRUE))
         cond = TRUE
@@ -541,7 +574,8 @@ class TestConditionOracle:
 
 class TestPickling:
     """Classes that store their hash rebuild it when unpickled, and a
-    state made as bits pickles as its promises."""
+    state an engine made pickles as its promises, without the promise
+    table."""
 
     def _round_trip(self, value):
         copy = pickle.loads(pickle.dumps(value))
@@ -563,7 +597,7 @@ class TestPickling:
         terms = [DONE, DEADLOCK, act, Seq(act, DONE), Alt(act, DEADLOCK), Par(act, act), Guard(condition, act)]
         for value in [GAMMA, body, *events, condition, *terms]:
             self._round_trip(value)
-        assert self._round_trip(Seq(DONE, DONE)).terminates is True
+        assert can_terminate(self._round_trip(Seq(DONE, DONE))) is True
 
     def test_states_and_a_stepped_configuration(self, ride_model):
         offer = ride_model.promise("ja", "tbc2JUB", "ma")
