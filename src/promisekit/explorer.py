@@ -3,7 +3,7 @@
 Terms are finite and every transition consumes one action, so the
 transition system of any configuration is a finite DAG. The explorer
 builds it breadth-first, enumerates the maximal traces (event sequences
-ending in a configuration with no outgoing transitions), verifies
+ending in a configuration with no transitions), verifies
 externally supplied traces, and checks the state invariants over every
 reachable node. All outputs are deterministically ordered so repeated
 runs are byte-identical.
@@ -12,9 +12,8 @@ runs are byte-identical.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .process_algebra import (
     Configuration,
@@ -100,49 +99,38 @@ def _ordered(
 
 
 class Lts:
-    """A fully explored transition system.
-
-    ``nodes`` are in breadth-first discovery order; per-node outgoing
-    transitions are sorted by rendered event, then successor. Walks over
-    the system use integer ids: a node's id is its place in ``nodes``,
-    and an edge's ends are found by identity, so that a built system
-    never hashes a configuration: each distinct configuration must be one
-    object, as ``build_lts`` makes it. An end that is not in ``nodes``
-    (the edges of a truncated build) gets an id after them.
+    """A fully explored transition system, numbered as ``build_lts`` found
+    it: a node's id is its place in ``_configs``, the configurations the
+    build reached, and ``nodes`` are the first ``expanded`` of them, in
+    breadth-first order. Later ones are the ends that a truncated build did
+    not expand, and have no transitions. ``_successors`` holds each one's
+    transitions as (event id, node id), sorted by rendered event, then
+    successor; an event's id is its place in ``_events``, which are in
+    rendered order, so that ids sort as reports do. ``edges`` are made from
+    these at their first read.
     """
 
     def __init__(
         self,
-        initial: Configuration,
-        nodes: tuple[Configuration, ...],
-        edges: tuple[tuple[Configuration, Event, Configuration], ...],
+        configs: list[Configuration],
+        successors: list[list[tuple[int, int]]],
+        events: list[Event],
+        expanded: int,
     ):
-        self.initial = initial
-        self.nodes = nodes
-        self.edges = edges
-        self._ends = list(nodes)  # every edge end, by id
-        self._ids = {id(node): number for number, node in enumerate(nodes)}
-        # every distinct event, numbered in rendered order: ids sort as reports do
-        self._events: list[Event] = sorted(dict.fromkeys(event for _, event, _ in edges), key=str)
-        event_ids = {event: number for number, event in enumerate(self._events)}
-        moves = [
-            (self._number(source), event_ids[event], self._number(target)) for source, event, target in edges
-        ]
-        self._successors: list[list[tuple[int, int]]] = [[] for _ in self._ends]
-        for source, event, target in moves:
-            self._successors[source].append((event, target))
+        self.initial = configs[0]
+        self.nodes = tuple(configs[:expanded])
+        self._configs = configs
+        self._successors = successors
+        self._events = events
 
-    def _number(self, config: Configuration) -> int:
-        """The id of an edge end; a new end gets the next id."""
-        number = self._ids.get(id(config))
-        if number is None:
-            number = self._ids[id(config)] = len(self._ends)  # the edges keep it alive
-            self._ends.append(config)
-        return number
-
-    def outgoing(self, config: Configuration) -> list[tuple[Event, Configuration]]:
-        moves = self._successors[self._ids[id(config)]]
-        return [(self._events[event], self._ends[target]) for event, target in moves]
+    @cached_property
+    def edges(self) -> tuple[tuple[Configuration, Event, Configuration], ...]:
+        configs, events = self._configs, self._events
+        return tuple(
+            (configs[source], events[event], configs[target])
+            for source, moves in enumerate(self._successors)
+            for event, target in moves
+        )
 
 
 def build_lts(
@@ -152,34 +140,42 @@ def build_lts(
 ) -> Lts:
     """Breadth-first closure of ``step`` starting from ``initial``.
 
-    Configurations are deduplicated structurally, by control point and
-    the bits of their state, and each is one object: every edge leads to
-    the instance in ``nodes``. Raises LimitExceeded (with the partial
+    A configuration gets its id when the search first reaches it, keyed by
+    its control point and the bits of its state, and is one object: every
+    edge leads to the instance in ``nodes``. An event gets its id the
+    first time it labels a transition, keyed by identity, since a model's
+    engine makes equal events one object; one permutation at the end puts
+    the events in rendered order. Raises LimitExceeded (with the partial
     system attached) when more than ``node_limit`` configurations are
     reachable; its ``nodes`` are the first ``node_limit``.
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
-    # each configuration by (control point, bits), to its one instance
-    start = _locate(model, initial)
-    seen = {start: initial}
+    ids = {_locate(model, initial): 0}  # each (control point, bits) reached, to its id
+    configs = [initial]  # by id, and the queue: the search expands them in order
+    successors: list[list[tuple[int, int]]] = []
+    events: list[Event] = []  # in the order first met
+    seen_events: dict[int, int] = {}  # each event's id, by id(event)
     texts = _Renderings()
-    edges: list[tuple[Configuration, Event, Configuration]] = []
-    queue = deque([(start, initial)])
-    truncated = False
-    while queue:
-        source, config = queue.popleft()
-        for event, key in _ordered(model, source, texts):
-            node = seen.get(key)
-            if node is None:
-                node = seen[key] = _configuration(*key)
-                if len(seen) > node_limit:
-                    truncated = True
-                else:
-                    queue.append((key, node))
-            edges.append((config, event, node))
-    lts = Lts(initial, tuple(seen.values())[:node_limit], tuple(edges))
-    if truncated:
+    for config in configs:
+        if len(successors) == node_limit:
+            break
+        moves = []
+        for event, key in _ordered(model, _locate(model, config), texts):
+            target = ids.setdefault(key, len(configs))
+            if target == len(configs):
+                configs.append(_configuration(*key))
+            number = seen_events.setdefault(id(event), len(events))
+            if number == len(events):
+                events.append(event)
+            moves.append((number, target))
+        successors.append(moves)
+    successors += [[] for _ in range(len(configs) - len(successors))]  # ends past the limit
+    order = sorted(range(len(events)), key=lambda number: texts[events[number]])
+    rank = {old: new for new, old in enumerate(order)}
+    successors = [[(rank[event], target) for event, target in moves] for moves in successors]
+    lts = Lts(configs, successors, [events[old] for old in order], node_limit)
+    if len(configs) > node_limit:
         raise LimitExceeded("node", node_limit, partial=lts)
     return lts
 
@@ -243,16 +239,16 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     traces: list[Trace] = []
     events = lts._events
     successors = lts._successors.__getitem__
-    ends = lts._ends
+    configs = lts._configs
 
     def outcome(node: int) -> Outcome:
-        return final_outcome(ends[node])
+        return final_outcome(configs[node])
 
     # a depth-first walk on an explicit stack, so that no recursion limit
     # bounds the trace length; an entry is (prefix length, its last event,
     # the nodes it reaches), and ``path`` holds the prefix being visited
     path: list[Event] = []
-    stack: list[tuple[int, int, frozenset[int]]] = [(0, -1, frozenset({lts._ids[id(lts.initial)]}))]
+    stack: list[tuple[int, int, frozenset[int]]] = [(0, -1, frozenset({0}))]
     # each set of nodes met: its outcomes in report order, and its
     # (event, nodes it leads to) children in the order they are pushed
     expanded: dict[frozenset[int], tuple[list[Outcome], list[tuple[int, frozenset[int]]]]] = {}

@@ -347,6 +347,7 @@ def _compile(model: PromiseModel, table: _Table, cond: Condition, env: dict[str,
     not expanded). Operators that wait for their operands' tests are on a
     stack, as (conj, operand count)."""
     tests: list[tuple] = []
+    free: dict[int, frozenset[str]] = {}  # see ``_free_variables``
     pending: list[tuple] = [(cond, env, False)]
     while pending:
         item = pending.pop()
@@ -371,7 +372,7 @@ def _compile(model: PromiseModel, table: _Table, cond: Condition, env: dict[str,
         elif cls is ForAllAgents:
             excluded = _resolve(cond.excluding, env).name
             agents = [agent for agent in model.agents if agent.name != excluded]
-            if len(agents) > 1 and not _mentions(cond.body, cond.var):
+            if len(agents) > 1 and cond.var not in _free_variables(cond.body, free):
                 del agents[1:]  # every copy would be the same test
             pending.append((not negated, len(agents)))
             pending += [(cond.body, {**env, cond.var: agent}, negated) for agent in reversed(agents)]
@@ -388,24 +389,23 @@ def _compile(model: PromiseModel, table: _Table, cond: Condition, env: dict[str,
     return tests[0]
 
 
-def _mentions(cond: Condition, var: str) -> bool:
-    """Whether the agent variable ``var`` occurs free in the condition: a
-    ``forall`` that binds ``var`` again hides it in its body."""
+def _free_variables(cond: Condition, free: dict[int, frozenset[str]]) -> frozenset[str]:
+    """The agent variables free in the condition, gathered bottom-up on a stack into ``free``, by
+    id, for each subcondition not already there: a ``forall`` hides its variable in its body,
+    but not in the agent it excludes."""
     pending = [cond]
     while pending:
-        cond = pending.pop()
-        cls = cond.__class__
-        if cls is Not:
-            pending.append(cond.operand)
-        elif cls is And or cls is Or or cls is Implies:
-            pending += (cond.left, cond.right)
-        elif cls is HasPromise or cls is ForAllAgents:
-            refs = (cond.promiser, cond.promisee) if cls is HasPromise else (cond.excluding,)
-            if any(ref.__class__ is AgentVar and ref.name == var for ref in refs):
-                return True
-            if cls is ForAllAgents and cond.var != var:
-                pending.append(cond.body)
-    return False
+        node = pending[-1]
+        parts = [piece[0] for piece in node._pieces() if piece.__class__ is tuple] if isinstance(node, _Node) else []
+        missing = [part for part in parts if id(part) not in free]
+        if missing:
+            pending += missing
+            continue
+        pending.pop()
+        refs = [getattr(node, name, None) for name in ("promiser", "promisee", "excluding")]
+        names = set().union(*(free[id(part)] for part in parts)) - {getattr(node, "var", None)}
+        free[id(node)] = frozenset(names.union(ref.name for ref in refs if ref.__class__ is AgentVar))
+    return free[id(cond)]
 
 
 def _conjoin(test: tuple, inner: tuple | None) -> tuple:

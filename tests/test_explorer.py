@@ -139,8 +139,11 @@ class TestBuildLts:
         assert again.edges == ride_lts.edges
 
     def test_edges_agree_with_step(self, ride, ride_lts):
+        outgoing = {node: set() for node in ride_lts.nodes}
+        for source, event, target in ride_lts.edges:
+            outgoing[source].add((event, target))
         for node in ride_lts.nodes:
-            assert set(ride_lts.outgoing(node)) == step(ride.model, node)
+            assert outgoing[node] == step(ride.model, node)
 
     def test_every_node_is_expanded_through_step(self, ride, ride_events, monkeypatch):
         # a profiler or tracer that wraps ``step`` by name sees the
@@ -191,12 +194,40 @@ class TestBuildLts:
         partial = exc.value.partial
         assert partial is not None
         assert len(partial.nodes) == 5
-        # an edge end past the nodes is one object per configuration, so
-        # that the system finds it by identity
+        # an edge end past the nodes is one object per configuration: the
+        # build numbers each configuration once, when it first reaches it
         nodes = {id(node) for node in partial.nodes}
         outside = {id(end): end for source, _, target in partial.edges for end in (source, target) if id(end) not in nodes}
         assert len(outside) > 1
         assert len({(end.term, end.state) for end in outside.values()}) == len(outside)
+
+    def test_a_truncated_build_is_walked_and_checked(self, ride):
+        # every walk of the partial system stops at an end the build did not
+        # expand, and replays as a prefix of a longer run
+        initial = Configuration(ride.entry, ride.initial_state)
+        with pytest.raises(LimitExceeded) as exc:
+            build_lts(ride.model, initial, node_limit=5)
+        partial = exc.value.partial
+        traces = maximal_traces(partial)
+        assert len(traces) == 14
+        assert check_invariants(ride.model, partial) == []
+        assert find_deadlocks(partial) == []
+        for trace in traces:
+            verdict = verify_trace(ride.model, initial, trace.events)
+            assert isinstance(verdict, Accepted)
+            assert not verdict.maximal
+
+    @pytest.mark.parametrize(
+        "text",
+        [*CANONICAL_CASES, *(pytest.param(random_scenario_text(seed), id=f"random-{seed}") for seed in range(12))],
+    )
+    def test_events_are_numbered_once_in_rendered_order(self, text):
+        # the build numbers events by identity as it meets them, then sorts
+        # them: equal events must be one object, and ids must sort as
+        # reports do
+        scenario = parse_scenario(text)
+        lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state), node_limit=5000)
+        assert [str(event) for event in lts._events] == sorted({str(event) for _, event, _ in lts.edges})
 
     @pytest.mark.parametrize(
         "text",
@@ -217,7 +248,7 @@ class TestBuildLts:
     @pytest.mark.parametrize("text", CANONICAL_CASES)
     def test_every_edge_leads_to_the_node_itself(self, text, strict):
         # each configuration is one object: an edge's ends are the very
-        # instances in ``nodes``, so lookups succeed by identity
+        # instances in ``nodes``
         scenario = parse_scenario(text, strict_conflicts=strict)
         lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state))
         canonical = {node: node for node in lts.nodes}
@@ -332,13 +363,22 @@ def _first_traces_expanding_every_prefix(lts: Lts, count: int) -> list[Trace]:
     """The first ``count`` traces in report order, found by expanding every
     event prefix with the nodes it reaches from scratch."""
     traces: list[Trace] = []
-    stack = [((), {lts._ids[id(lts.initial)]})]
+    stack = [((), {0})]
     while stack and len(traces) < count:
         prefix, nodes = stack.pop()
-        targets, ends = explorer._after(nodes, lts._successors.__getitem__, lambda node: final_outcome(lts._ends[node]))
+        targets, ends = explorer._after(nodes, lts._successors.__getitem__, lambda node: final_outcome(lts._configs[node]))
         traces += [Trace(prefix, end) for end in sorted(ends, key=str)]
         stack += [(prefix + (lts._events[event],), targets[event]) for event in sorted(targets, reverse=True)]
     return traces[:count]
+
+
+def _chain(nodes: list[Configuration], events: list) -> Lts:
+    """The system of one path through ``nodes``, whose edges ``events``
+    label in order; ``Lts`` numbers events in rendered order."""
+    ordered = sorted(events, key=str)
+    ids = {event: number for number, event in enumerate(ordered)}
+    successors = [[(ids[event], place + 1)] for place, event in enumerate(events)] + [[]]
+    return Lts(nodes, successors, ordered, len(nodes))
 
 
 class TestMaximalTraces:
@@ -433,8 +473,7 @@ class TestMaximalTraces:
             State(frozenset({Promise(event.promiser, GAMMA, promisee)})) for event in events
         ]
         nodes = [Configuration(DONE, state) for state in nodes]
-        edges = tuple(zip(nodes, events, nodes[1:]))
-        traces = maximal_traces(Lts(nodes[0], tuple(nodes), edges))
+        traces = maximal_traces(_chain(nodes, events))
         assert traces == [Trace(tuple(events), Outcome.SUCCESSFUL)]
 
     def test_longer_chain_is_walked_without_copying_prefixes(self):
@@ -447,8 +486,7 @@ class TestMaximalTraces:
             State(frozenset({Promise(event.promiser, GAMMA, promisee)})) for event in events
         ]
         nodes = [Configuration(DONE, state) for state in states]
-        edges = tuple(zip(nodes, events, nodes[1:]))
-        traces = maximal_traces(Lts(nodes[0], tuple(nodes), edges))
+        traces = maximal_traces(_chain(nodes, events))
         assert traces == [Trace(tuple(events), Outcome.SUCCESSFUL)]
 
     def test_every_trace_replays(self, ride, ride_lts, ride_traces):
@@ -575,7 +613,7 @@ class TestInvariantsAndDeadlocks:
                 )
             ),
         )
-        lts = Lts(bad, (bad,), ())
+        lts = build_lts(ride_model, bad)  # one node: ``ok`` has no transitions
         violations = check_invariants(ride_model, lts)
         assert len(violations) == 1
         assert violations[0].kind == "exclusiveness"
@@ -592,7 +630,7 @@ class TestInvariantsAndDeadlocks:
                 )
             ),
         )
-        lts = Lts(bad, (bad,), ())
+        lts = build_lts(ride_model, bad)  # one node: ``ok`` has no transitions
         violations = check_invariants(ride_model, lts)
         assert len(violations) == 1
         assert violations[0].kind == "conflict"
@@ -609,7 +647,7 @@ class TestInvariantsAndDeadlocks:
                 )
             ),
         )
-        lts = Lts(bad, (bad,), ())
+        lts = build_lts(ride_model, bad)  # one node: ``ok`` has no transitions
         assert check_invariants(ride_model, lts) == []
         violations = check_invariants(replace(ride_model, strict_conflicts=True), lts)
         assert [v.kind for v in violations] == ["conflict"]

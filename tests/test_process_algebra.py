@@ -547,6 +547,29 @@ class TestConditionOracle:
         assert (len(lts.nodes), len(lts.edges)) == (3, 2)
         assert len(joins) <= 64
 
+    def test_nested_quantifiers_compile_in_linear_time(self, monkeypatch):
+        # each read of a quantifier's body is one operation: looking for a
+        # variable through the whole body of every quantifier would read
+        # quadratically many. The innermost leaf names the outermost
+        # variable, so only the outermost quantifier is expanded.
+        model = parse_scenario("agent s c m\ntype t\ntask g : t\nrun ok").model
+        s, c, g = model.agent("s"), model.agent("c"), model.body("g")
+        conditions = []
+        for depth in (1_000, 2_000):
+            cond = HasPromise(AgentVar("v0"), g, c)
+            for i in reversed(range(depth)):
+                cond = ForAllAgents(f"v{i}", c, Or(HasPromise(s, g, c), cond))
+            conditions.append(cond)
+        reads = []
+        body = ForAllAgents.body
+        monkeypatch.setattr(ForAllAgents, "body", property(lambda cond: reads.append(1) or body.__get__(cond)))
+        counts = []
+        for cond in conditions:
+            reads.clear()
+            assert eval_condition(model, cond, EMPTY_STATE) is False
+            counts.append(len(reads))
+        assert counts[1] <= 2 * counts[0] + 10
+
     def test_a_rebound_variable_is_hidden_from_its_quantifier(self):
         # ``v`` inside the inner quantifier is the inner one's, except in
         # the agent it excludes
