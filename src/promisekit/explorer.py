@@ -229,12 +229,14 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
 
     Distinct paths yielding the same (events, outcome) pair collapse to
     one trace. The result is sorted by rendered events, then outcome: the
-    walk visits each event prefix once, with every node it reaches, and
-    yields its own traces before its extensions in rendered-event order,
-    so it stops at the first trace past ``max_traces`` in that order.
-    Nodes and events are walked as ids (see ``Lts``). Prefixes that reach
-    the same nodes share their extensions, so each distinct set of nodes
-    is expanded once per walk (Rabin & Scott's subset construction).
+    walk lists a prefix's own traces before its extensions in
+    rendered-event order, so it stops at the first trace past
+    ``max_traces`` in that order. Nodes and events are walked as ids (see
+    ``Lts``). The traces after a prefix depend only on the set of nodes it
+    reaches, so the walk visits each distinct set once (Rabin & Scott's
+    subset construction): the first prefix to reach a set lists the
+    traces below it, and every later one replays that listing, already in
+    report order, under its own events.
     """
     traces: list[Trace] = []
     events = lts._events
@@ -245,30 +247,41 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
         return final_outcome(configs[node])
 
     # a depth-first walk on an explicit stack, so that no recursion limit
-    # bounds the trace length; an entry is (prefix length, its last event,
-    # the nodes it reaches), and ``path`` holds the prefix being visited
+    # bounds the trace length. A frame is a set of nodes being listed: an
+    # iterator over its events, the nodes each leads to, the set, the place
+    # of its first trace and its prefix length; ``path`` is the prefix
     path: list[Event] = []
-    stack: list[tuple[int, int, frozenset[int]]] = [(0, -1, frozenset({0}))]
-    # each set of nodes met: its outcomes in report order, and its
-    # (event, nodes it leads to) children in the order they are pushed
-    expanded: dict[frozenset[int], tuple[list[Outcome], list[tuple[int, frozenset[int]]]]] = {}
-    while stack:
-        length, event, nodes = stack.pop()
-        if length:
-            del path[length - 1 :]
-            path.append(events[event])
-        found = expanded.get(nodes)
+    frames: list[tuple] = []
+    # each set of nodes listed: the traces below it are traces[first:end],
+    # listed under a prefix of length ``depth``
+    listed: dict[frozenset[int], tuple[int, int, int]] = {}
+    nodes = frozenset({0})
+    while True:
+        found = listed.get(nodes)
         if found is None:
             targets, finals = _after(nodes, successors, outcome)
-            children = [(event, frozenset(targets[event])) for event in sorted(targets, reverse=True)]
-            found = expanded[nodes] = sorted(finals, key=str), children
-        finals, children = found
-        for end in finals:
-            traces.append(Trace(tuple(path), end))
-            if len(traces) > max_traces:
-                raise LimitExceeded("trace", max_traces, partial=traces)
-        stack += [(length + 1, event, nodes) for event, nodes in children]
-    return traces
+            frames.append((iter(sorted(targets)), targets, nodes, len(traces), len(path)))
+            traces += [Trace(tuple(path), end) for end in sorted(finals, key=str)]
+        else:
+            first, end, depth = found
+            prefix = tuple(path)
+            end = min(end, first + max_traces + 1 - len(traces))  # none beyond the one past the cap
+            traces += [Trace(prefix + old.events[depth:], old.outcome) for old in traces[first:end]]
+        if len(traces) > max_traces:
+            del traces[max_traces + 1 :]
+            raise LimitExceeded("trace", max_traces, partial=traces)
+        while frames:  # on to the next event of the innermost set with one left
+            children, targets, parent, first, depth = frames[-1]
+            event = next(children, None)
+            if event is not None:
+                del path[depth:]
+                path.append(events[event])
+                nodes = frozenset(targets[event])
+                break
+            frames.pop()
+            listed[parent] = (first, len(traces), depth)
+        else:
+            return traces
 
 
 @dataclass(frozen=True)

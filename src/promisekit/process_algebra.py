@@ -347,7 +347,7 @@ def _compile(model: PromiseModel, table: _Table, cond: Condition, env: dict[str,
     not expanded). Operators that wait for their operands' tests are on a
     stack, as (conj, operand count)."""
     tests: list[tuple] = []
-    free: dict[int, frozenset[str]] = {}  # see ``_free_variables``
+    free: dict[int, set[str]] = {}  # see ``_free_variables``
     pending: list[tuple] = [(cond, env, False)]
     while pending:
         item = pending.pop()
@@ -389,22 +389,33 @@ def _compile(model: PromiseModel, table: _Table, cond: Condition, env: dict[str,
     return tests[0]
 
 
-def _free_variables(cond: Condition, free: dict[int, frozenset[str]]) -> frozenset[str]:
-    """The agent variables free in the condition, gathered bottom-up on a stack into ``free``, by
-    id, for each subcondition not already there: a ``forall`` hides its variable in its body,
-    but not in the agent it excludes."""
-    pending = [cond]
+def _free_variables(cond: Condition, free: dict[int, set[str]]) -> set[str]:
+    """The agent variables free in the condition, gathered into ``free``, by id, for each
+    subcondition not already there, operands first: a ``forall`` hides its variable in its
+    body, but not in the agent it excludes."""
+    order, pending = [], [cond]  # each subcondition before its operands
     while pending:
-        node = pending[-1]
-        parts = [piece[0] for piece in node._pieces() if piece.__class__ is tuple] if isinstance(node, _Node) else []
-        missing = [part for part in parts if id(part) not in free]
-        if missing:
-            pending += missing
-            continue
-        pending.pop()
-        refs = [getattr(node, name, None) for name in ("promiser", "promisee", "excluding")]
-        names = set().union(*(free[id(part)] for part in parts)) - {getattr(node, "var", None)}
-        free[id(node)] = frozenset(names.union(ref.name for ref in refs if ref.__class__ is AgentVar))
+        node = pending.pop()
+        if id(node) not in free:
+            order.append(node)
+            cls = node.__class__
+            if cls is Not or cls is ForAllAgents:
+                pending.append(node.operand if cls is Not else node.body)
+            elif cls is And or cls is Or or cls is Implies:
+                pending += (node.left, node.right)
+    for node in reversed(order):
+        cls = node.__class__
+        if cls is Not:
+            names = free[id(node.operand)]
+        elif cls is And or cls is Or or cls is Implies:
+            names = free[id(node.left)] | free[id(node.right)]
+        elif cls is ForAllAgents:
+            names = free[id(node.body)] - {node.var}
+            names |= {node.excluding.name} if node.excluding.__class__ is AgentVar else set()
+        else:
+            refs = (node.promiser, node.promisee) if cls is HasPromise else ()
+            names = {ref.name for ref in refs if ref.__class__ is AgentVar}
+        free[id(node)] = names
     return free[id(cond)]
 
 

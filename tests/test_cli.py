@@ -8,6 +8,7 @@ import pytest
 
 from promisekit.corpus import corpus_path
 from promisekit.dsl import parse_scenario, parse_term
+from promisekit.explorer import Lts
 from promisekit.process_algebra import can_terminate
 
 from helpers import long_negotiation, run_cli
@@ -116,6 +117,11 @@ class TestExplore:
         assert len(payload["traces"]) == 340
         assert {t["outcome"] for t in payload["traces"]} == {"successful"}
         assert SIX_EVENTS in [t["events"] for t in payload["traces"]]
+
+    def test_edges_are_counted_without_making_them(self, monkeypatch):
+        monkeypatch.setattr(Lts, "edges", property(lambda lts: pytest.fail("edges made")))
+        code, out, _ = run_cli(["explore", JUB])
+        assert code == 0 and out.splitlines()[:2] == ["nodes: 48", "edges: 96"]
 
     def test_node_limit_exit_code(self):
         code, _, err = run_cli(["explore", JUB, "--node-limit", "3"])

@@ -372,6 +372,15 @@ def _first_traces_expanding_every_prefix(lts: Lts, count: int) -> list[Trace]:
     return traces[:count]
 
 
+def _reached(lts: Lts, events: tuple) -> set[int]:
+    """The nodes that the event sequence leads to from the initial node."""
+    nodes = {0}
+    for event in events:
+        number = lts._events.index(event)
+        nodes = {target for node in nodes for moved, target in lts._successors[node] if moved == number}
+    return nodes
+
+
 def _chain(nodes: list[Configuration], events: list) -> Lts:
     """The system of one path through ``nodes``, whose edges ``events``
     label in order; ``Lts`` numbers events in rendered order."""
@@ -455,6 +464,52 @@ class TestMaximalTraces:
             maximal_traces(lts, max_traces=10_000)
         assert len(calls) <= len(lts.nodes) == 324  # 27,073 when every prefix is expanded
         assert exc.value.partial == expected
+
+    def test_a_set_reached_at_two_depths_is_replayed_under_each(self, monkeypatch):
+        # the set after pi(a, y, b) is listed under the three events
+        # pi(a, x, b), pw(a, x, b), pi(a, y, b), then replayed under that
+        # one event alone
+        scenario = parse_scenario(
+            "agent a b\ntype t\ntask x : t\ntask y : t\n"
+            "run (pi(a, x, b) . pw(a, x, b) + ok) . (pi(a, y, b) . pw(a, y, b) + pi(a, x, b))\n"
+        )
+        lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state))
+        model = scenario.model
+        x, y = model.body("x"), model.body("y")
+        a, b = model.agent("a"), model.agent("b")
+        shallow = (IntroduceEvent(a, y, b),)
+        deep = (IntroduceEvent(a, x, b), WithdrawEvent(a, x, b), IntroduceEvent(a, y, b))
+        assert _reached(lts, shallow) == _reached(lts, deep)
+        expanded = []
+        after = explorer._after
+        monkeypatch.setattr(
+            explorer, "_after", lambda nodes, *rest: expanded.append(nodes) or after(nodes, *rest)
+        )
+        traces = maximal_traces(lts)
+        assert len(expanded) == len(set(expanded))
+        assert traces == _first_traces_expanding_every_prefix(lts, len(traces) + 1)
+        assert explorer_trace_set(traces) == oracle_traces(model, scenario.entry, scenario.initial_state)
+        # listed under the deep prefix first
+        starts = [t.events[: len(deep)] for t in traces], [t.events[:1] for t in traces]
+        assert starts[0].index(deep) < starts[1].index(shallow)
+
+    @pytest.mark.parametrize(
+        "text, strict",
+        [
+            pytest.param(offers(2), False, id="offers-2"),
+            pytest.param(NONDETERMINISTIC.read_text(encoding="utf-8"), False, id="nondeterministic-dyadic"),
+            pytest.param(NONDETERMINISTIC.read_text(encoding="utf-8"), True, id="nondeterministic-strict"),
+        ],
+    )
+    def test_every_cap_stops_at_the_first_trace_past_it(self, text, strict):
+        # most caps fall inside a replayed listing
+        scenario = parse_scenario(text, strict_conflicts=strict)
+        lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state))
+        full = maximal_traces(lts)
+        for cap in range(1, len(full)):
+            with pytest.raises(LimitExceeded) as exc:
+                maximal_traces(lts, max_traces=cap)
+            assert exc.value.partial == full[: cap + 1]
 
     def test_enumeration_does_not_keep_the_lts_alive(self, ride):
         # freed by reference counting alone, without a garbage collection
