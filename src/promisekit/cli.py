@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from functools import cache
 from pathlib import Path
 
 from .dsl import ParseError, Scenario, ValidationError, parse_scenario, parse_trace
@@ -70,7 +71,10 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@cache
 def _build_parser() -> _ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was."""
     parser = _ArgumentParser(prog="promise", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, needs_trace in (
@@ -136,11 +140,8 @@ def _generalized_events(terms: list[ProcessTerm]):
             stack.append(term.body)
 
 
-def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(text_lines))
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -161,34 +162,35 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
 
     status = "ok" if not violations else "failed"
-    lines = [
-        f"scenario: {args.scenario}",
-        f"agents: {len(model.agents)}",
-        f"atoms: {len(model.atoms)}",
-        f"task bodies: {4 * len(model.atoms)}",
-        f"incompatibility pairs: {len(model.incompatibility.pairs)} "
-        f"({len(model.incompatibility.declared)} declared)",
-        f"law violations: {len(violations)}",
-    ]
-    lines += [f"  {v}" for v in violations]
-    lines.append(f"warnings: {len(warnings)}")
-    lines += [f"  {w}" for w in warnings]
-    lines.append(status)
-    _emit(
-        args,
-        lines,
-        {
-            "scenario": str(args.scenario),
-            "agents": len(model.agents),
-            "atoms": len(model.atoms),
-            "bodies": 4 * len(model.atoms),
-            "pairs": len(model.incompatibility.pairs),
-            "declared": len(model.incompatibility.declared),
-            "violations": violations,
-            "warnings": warnings,
-            "status": status,
-        },
-    )
+    if args.format == "json":
+        _print_json(
+            {
+                "scenario": str(args.scenario),
+                "agents": len(model.agents),
+                "atoms": len(model.atoms),
+                "bodies": 4 * len(model.atoms),
+                "pairs": len(model.incompatibility.pairs),
+                "declared": len(model.incompatibility.declared),
+                "violations": violations,
+                "warnings": warnings,
+                "status": status,
+            }
+        )
+    else:
+        lines = [
+            f"scenario: {args.scenario}",
+            f"agents: {len(model.agents)}",
+            f"atoms: {len(model.atoms)}",
+            f"task bodies: {4 * len(model.atoms)}",
+            f"incompatibility pairs: {len(model.incompatibility.pairs)} "
+            f"({len(model.incompatibility.declared)} declared)",
+            f"law violations: {len(violations)}",
+        ]
+        lines += [f"  {v}" for v in violations]
+        lines.append(f"warnings: {len(warnings)}")
+        lines += [f"  {w}" for w in warnings]
+        lines.append(status)
+        print("\n".join(lines))
     return EXIT_OK if not violations else EXIT_FAILURE
 
 
@@ -206,38 +208,37 @@ def cmd_explore(args: argparse.Namespace) -> int:
     violations = check_invariants(scenario.model, lts)
     deadlocks = find_deadlocks(lts)
     edges = sum(map(len, lts._successors))  # without making the (source, event, target) triples
+    texts = lts._texts  # the build rendered every event once
 
-    lines = [
-        f"nodes: {len(lts.nodes)}",
-        f"edges: {edges}",
-        f"traces: {len(traces)}",
-    ]
-    for number, trace in enumerate(traces, start=1):
-        lines.append(f"trace {number} ({trace.outcome}):")
-        lines += [f"  {event}" for event in trace.events]
-    lines.append(f"deadlocks: {len(deadlocks)}")
-    lines += [f"  {node.state} with {node.term}" for node in deadlocks]
-    lines.append(f"violations: {len(violations)}")
-    lines += [f"  {v}" for v in violations]
-    _emit(
-        args,
-        lines,
-        {
-            "nodes": len(lts.nodes),
-            "edges": edges,
-            "traces": [
-                {"events": [str(e) for e in t.events], "outcome": str(t.outcome)}
-                for t in traces
-            ],
-            "deadlocks": [
-                {"state": str(node.state), "term": str(node.term)} for node in deadlocks
-            ],
-            "violations": [
-                {"kind": v.kind, "detail": v.detail, "state": str(v.config.state)}
-                for v in violations
-            ],
-        },
-    )
+    if args.format == "json":
+        _print_json(
+            {
+                "nodes": len(lts.nodes),
+                "edges": edges,
+                "traces": [
+                    {"events": [texts[e] for e in t.events], "outcome": str(t.outcome)}
+                    for t in traces
+                ],
+                "deadlocks": [
+                    {"state": str(node.state), "term": str(node.term)} for node in deadlocks
+                ],
+                "violations": [
+                    {"kind": v.kind, "detail": v.detail, "state": str(v.config.state)}
+                    for v in violations
+                ],
+            }
+        )
+    else:
+        lines = [f"nodes: {len(lts.nodes)}", f"edges: {edges}", f"traces: {len(traces)}"]
+        indented = {event: f"  {texts[event]}" for event in lts._events}
+        for number, (events, outcome) in enumerate(traces, start=1):
+            lines.append(f"trace {number} ({outcome}):")
+            lines += map(indented.__getitem__, events)
+        lines.append(f"deadlocks: {len(deadlocks)}")
+        lines += [f"  {node.state} with {node.term}" for node in deadlocks]
+        lines.append(f"violations: {len(violations)}")
+        lines += [f"  {v}" for v in violations]
+        print("\n".join(lines))
     return EXIT_OK if not violations else EXIT_FAILURE
 
 
@@ -254,19 +255,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         events.append(event)
     outcome = final_outcome(current)
 
-    lines = [str(event) for event in events]
-    lines.append(f"outcome: {outcome}")
-    lines.append(f"final state: {current.state}")
-    _emit(
-        args,
-        lines,
-        {
-            "seed": args.seed,
-            "events": [str(e) for e in events],
-            "outcome": str(outcome),
-            "final_state": sorted(str(p) for p in current.state),
-        },
-    )
+    if args.format == "json":
+        _print_json(
+            {
+                "seed": args.seed,
+                "events": [texts[e] for e in events],
+                "outcome": str(outcome),
+                "final_state": sorted(str(p) for p in current.state),
+            }
+        )
+    else:
+        lines = [texts[event] for event in events]
+        lines.append(f"outcome: {outcome}")
+        lines.append(f"final state: {current.state}")
+        print("\n".join(lines))
     return EXIT_OK
 
 
@@ -286,40 +288,42 @@ def cmd_verify_trace(args: argparse.Namespace) -> int:
     initial = Configuration(scenario.entry, scenario.initial_state)
     verdict = verify_trace(scenario.model, initial, events)
     if isinstance(verdict, Accepted):
-        lines = [
-            "accepted",
-            f"maximal: {'yes' if verdict.maximal else 'no'}",
-            f"outcome: {verdict.outcome if verdict.outcome else 'incomplete'}",
-            f"final state: {verdict.final_state}",
-        ]
-        _emit(
-            args,
-            lines,
-            {
-                "verdict": "accepted",
-                "maximal": verdict.maximal,
-                "outcome": str(verdict.outcome) if verdict.outcome else None,
-                "final_state": sorted(str(p) for p in verdict.final_state),
-            },
-        )
+        if args.format == "json":
+            _print_json(
+                {
+                    "verdict": "accepted",
+                    "maximal": verdict.maximal,
+                    "outcome": str(verdict.outcome) if verdict.outcome else None,
+                    "final_state": sorted(str(p) for p in verdict.final_state),
+                }
+            )
+        else:
+            lines = [
+                "accepted",
+                f"maximal: {'yes' if verdict.maximal else 'no'}",
+                f"outcome: {verdict.outcome if verdict.outcome else 'incomplete'}",
+                f"final state: {verdict.final_state}",
+            ]
+            print("\n".join(lines))
         return EXIT_OK
-    lines = [
-        f"rejected at index {verdict.index}: {events[verdict.index]}",
-        "available events:",
-    ]
-    lines += [f"  {event}" for event in verdict.available]
-    lines.append(f"state: {verdict.state}")
-    _emit(
-        args,
-        lines,
-        {
-            "verdict": "rejected",
-            "index": verdict.index,
-            "event": str(events[verdict.index]),
-            "available": [str(e) for e in verdict.available],
-            "state": sorted(str(p) for p in verdict.state),
-        },
-    )
+    if args.format == "json":
+        _print_json(
+            {
+                "verdict": "rejected",
+                "index": verdict.index,
+                "event": str(events[verdict.index]),
+                "available": [str(e) for e in verdict.available],
+                "state": sorted(str(p) for p in verdict.state),
+            }
+        )
+    else:
+        lines = [
+            f"rejected at index {verdict.index}: {events[verdict.index]}",
+            "available events:",
+        ]
+        lines += [f"  {event}" for event in verdict.available]
+        lines.append(f"state: {verdict.state}")
+        print("\n".join(lines))
     return EXIT_FAILURE
 
 

@@ -115,96 +115,89 @@ class ValidationError(Exception):
 # ---------------------------------------------------------------------------
 # tokens
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'name' | 'sym'
-    value: str
-    line: int
-    column: int
+# One scan per line: a token is a (kind, value, column) tuple, kind 'name',
+# 'sym' or 'event'. Whitespace matches no group and is skipped; the
+# catch-all 'bad' group is a character the syntax does not know. An 'event'
+# token is a whole plain event pi/pw(NAME, PREFIXES NAME, NAME), valued as
+# its head: _parse_event reads it in one step, and any other reader takes
+# it apart into its name and symbol tokens (see _Stream.advance).
+_NAME = "[A-Za-z][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"(?P<name>{_NAME})|(?P<sym>=>|<=|!=|->|\|\||[()\[\],:.#+=!~])|(?P<bad>\S)")
+_SCAN_RE = re.compile(rf"(?P<event>p[iw])\s*\(\s*{_NAME}\s*,\s*[!~]*{_NAME}\s*,\s*{_NAME}\s*\)|{_TOKEN_RE.pattern}")
+# the same shape, its parts captured
+_EVENT_RE = re.compile(rf"(p[iw])\s*\(\s*({_NAME})\s*,\s*([!~]*)({_NAME})\s*,\s*({_NAME})\s*\)")
+_EVENT_LINE_RE = re.compile(rf"\s*{_EVENT_RE.pattern}\s*")
+_INCOMPATIBLE_RE = re.compile(r"\s*incompatible\b")
+_NAMES = ("name", "event")
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<sym>=>|<=|!=|->|\|\||[()\[\],:.#+=!~])"
-)
+def _tokens(scan: re.Pattern, text: str, start: int, end: int) -> list[tuple[str, str, int]]:
+    # a match's last group is the token, or an event's head
+    return [(m.lastgroup, m[m.lastindex], m.start() + 1) for m in scan.finditer(text, start, end)]
 
 
-def _tokenize(text: str, line: int) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise ParseError(line, pos + 1, "a name or operator", repr(text[pos]))
-        if match.lastgroup != "ws":
-            tokens.append(Token(match.lastgroup, match.group(), line, pos + 1))
-        pos = match.end()
+def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
+    tokens = _tokens(_SCAN_RE, text, 0, len(text))
+    for kind, value, column in tokens:
+        if kind == "bad":
+            raise ParseError(line, column, "a name or operator", repr(value))
     return tokens
 
 
 class _Stream:
-    """Cursor over one line's tokens with positioned errors."""
+    """Cursor over one line's tokens with positioned errors. The tokens
+    end with an end marker, of kind None, at the column past the line."""
 
-    def __init__(self, tokens: list[Token], line: int, end_column: int):
+    def __init__(self, tokens: list[tuple[str, str, int]], line: int, text: str, end_column: int):
         self.tokens = tokens
+        tokens.append((None, None, end_column))
         self.pos = 0
         self.line = line
-        self.end_column = end_column
+        self.text = text
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> tuple[str | None, str | None, int]:
+        return self.tokens[self.pos]
 
     def at_sym(self, *values: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "sym" and tok.value in values
+        return self.tokens[self.pos][1] in values  # no name is spelt like a symbol
 
-    def at_name(self, *values: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "name" and (not values or tok.value in values)
+    def at_name(self) -> bool:
+        return self.tokens[self.pos][0] in _NAMES
 
-    def advance(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(self.line, self.end_column, "more input")
+    def advance(self) -> tuple[str, str, int]:
+        kind, _, column = self.tokens[self.pos]
+        if kind == "event":  # a reader other than _parse_event: split it into its tokens
+            end = _EVENT_RE.match(self.text, column - 1).end()
+            self.tokens[self.pos : self.pos + 1] = _tokens(_TOKEN_RE, self.text, column - 1, end)
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect_sym(self, value: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "sym" or tok.value != value:
+    def expect_sym(self, value: str) -> None:
+        if self.tokens[self.pos][1] != value:
             self.fail(repr(value))
-        return self.advance()
+        self.pos += 1
 
-    def expect_name(self, what: str = "a name") -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "name":
+    def expect_name(self, what: str = "a name") -> tuple[str, str, int]:
+        if self.tokens[self.pos][0] not in _NAMES:
             self.fail(what)
         return self.advance()
 
     def expect_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(tok.line, tok.column, "end of line", repr(tok.value))
+        if self.tokens[self.pos][0] is not None:
+            self.fail("end of line")
 
     def fail(self, expected: str) -> NoReturn:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(self.line, self.end_column, expected)
-        raise ParseError(tok.line, tok.column, expected, repr(tok.value))
+        kind, value, column = self.tokens[self.pos]
+        raise ParseError(self.line, column, expected, repr(value) if kind else None)
 
 
 def _decomment(raw: str) -> str:
     """Truncate a line at its comment. ``#`` starts a comment everywhere
     except that on ``incompatible`` lines the first hash is the operator."""
-    keep = 1 if re.match(r"\s*incompatible\b", raw) else 0
-    seen = 0
-    for i, ch in enumerate(raw):
-        if ch == "#":
-            if seen >= keep:
-                return raw[:i]
-            seen += 1
-    return raw
+    cut = raw.find("#")
+    if cut >= 0 and _INCOMPATIBLE_RE.match(raw):
+        cut = raw.find("#", cut + 1)
+    return raw if cut < 0 else raw[:cut]
 
 
 # ---------------------------------------------------------------------------
@@ -233,71 +226,72 @@ def parse_scenario(text: str, strict_conflicts: bool = False) -> Scenario:
     types: list[str] = []
     atoms: dict[str, str] = {}
     subordination: list[tuple[str, str]] = []
-    exclusive: list[tuple[int, str]] = []
-    incompat: list[tuple[int, str, str]] = []
+    exclusive: list[str] = []
+    incompat: list[tuple[str, str]] = []
     defs: list[tuple[int, str, _Stream]] = []
     init_streams: list[tuple[int, _Stream]] = []
     run_stream: tuple[int, _Stream] | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(_decomment(raw), lineno)
+        line = _decomment(raw)
+        tokens = _tokenize(line, lineno)
         if not tokens:
             continue
-        stream = _Stream(tokens, lineno, len(raw) + 1)
-        directive = stream.expect_name("a directive")
-        if directive.value == "agent":
+        stream = _Stream(tokens, lineno, line, len(raw) + 1)
+        _, directive, column = stream.expect_name("a directive")
+        if directive == "agent":
             if not stream.at_name():
                 stream.fail("an agent name")
             while stream.at_name():
-                name = stream.advance().value
+                name = stream.advance()[1]
                 _check_declarable(name, "agent", lineno)
                 agents.append(name)
             stream.expect_end()
-        elif directive.value == "subord":
-            low = stream.expect_name("an agent name").value
+        elif directive == "subord":
+            low = stream.expect_name("an agent name")[1]
             stream.expect_sym("<=")
-            high = stream.expect_name("an agent name").value
+            high = stream.expect_name("an agent name")[1]
             stream.expect_end()
             subordination.append((low, high))
-        elif directive.value == "type":
-            name = stream.expect_name("a type name").value
+        elif directive == "type":
+            name = stream.expect_name("a type name")[1]
             _check_declarable(name, "type", lineno)
             stream.expect_end()
             types.append(name)
-        elif directive.value == "task":
-            name = stream.expect_name("an atom name").value
+        elif directive == "task":
+            name = stream.expect_name("an atom name")[1]
             _check_declarable(name, "atom", lineno)
             stream.expect_sym(":")
-            type_name = stream.expect_name("a type name").value
+            type_name = stream.expect_name("a type name")[1]
             stream.expect_end()
             if name in atoms:
                 raise ValidationError(f"line {lineno}: duplicate atom {name!r}")
             atoms[name] = type_name
-        elif directive.value == "exclusive":
+        elif directive == "exclusive":
             body = _body_text(stream)
             stream.expect_end()
-            exclusive.append((lineno, body))
-        elif directive.value == "incompatible":
+            exclusive.append(body)
+        elif directive == "incompatible":
             first = _body_text(stream)
             stream.expect_sym("#")
             second = _body_text(stream)
             stream.expect_end()
-            incompat.append((lineno, first, second))
-        elif directive.value == "def":
-            name = stream.expect_name("a definition name").value
+            incompat.append((first, second))
+        elif directive == "def":
+            name = stream.expect_name("a definition name")[1]
             _check_declarable(name, "definition", lineno)
             stream.expect_sym("=")
             defs.append((lineno, name, stream))
-        elif directive.value == "init":
+        elif directive == "init":
             if init_streams:
                 raise ValidationError(f"line {lineno}: duplicate init directive")
             init_streams.append((lineno, stream))
-        elif directive.value == "run":
+        elif directive == "run":
             if run_stream is not None:
                 raise ValidationError(f"line {lineno}: duplicate run directive")
             run_stream = (lineno, stream)
         else:
-            raise ParseError(directive.line, directive.column, "a directive", repr(directive.value))
+            raise ParseError(lineno, column, "a directive", repr(directive))
 
     try:
         model = PromiseModel.create(
@@ -305,8 +299,8 @@ def parse_scenario(text: str, strict_conflicts: bool = False) -> Scenario:
             types=types,
             atoms=atoms,
             subordination=subordination,
-            incompatible_pairs=[(x, y) for _, x, y in incompat],
-            exclusive=[body for _, body in exclusive],
+            incompatible_pairs=incompat,
+            exclusive=exclusive,
             strict_conflicts=strict_conflicts,
         )
     except (ModelError, IncompatibilityError, UnknownAtom) as err:
@@ -351,66 +345,75 @@ def _body_text(stream: _Stream) -> str:
     """Concrete body syntax: ``!``/``~`` prefixes then an atom name."""
     parts: list[str] = []
     while stream.at_sym("!", "~"):
-        parts.append(stream.advance().value)
-    name = stream.expect_name("an atom name")
-    parts.append(name.value)
+        parts.append(stream.advance()[1])
+    parts.append(stream.expect_name("an atom name")[1])
     return "".join(parts)
 
 
 def _parse_body(stream: _Stream, model: PromiseModel) -> TaskBody:
-    tok = stream.peek()
+    column = stream.peek()[2]
     text = _body_text(stream)
     try:
         return model.body(text)
     except UnknownAtom as err:
-        line, col = (tok.line, tok.column) if tok else (stream.line, stream.end_column)
-        raise ValidationError(f"line {line}, column {col}: {err}") from err
+        raise ValidationError(f"line {stream.line}, column {column}: {err}") from err
 
 
 def _agent(stream: _Stream, model: PromiseModel) -> Agent:
-    tok = stream.expect_name("an agent name")
-    if not model.has_agent(tok.value):
-        raise ValidationError(f"line {tok.line}, column {tok.column}: unknown agent {tok.value!r}")
-    return model.agent(tok.value)
+    _, name, column = stream.expect_name("an agent name")
+    if not model.has_agent(name):
+        raise ValidationError(f"line {stream.line}, column {column}: unknown agent {name!r}")
+    return model.agent(name)
+
+
+def _plain_event(match: re.Match, model: PromiseModel) -> Event | None:
+    """The event of a match of ``_EVENT_RE``, or None when the model lacks
+    one of its names."""
+    head, promiser, prefixes, atom, promisee = match.groups()
+    if not (model.has_agent(promiser) and model.has_agent(promisee)):
+        return None
+    try:
+        body = model.body(prefixes + atom)
+    except UnknownAtom:
+        return None
+    event = IntroduceEvent if head == "pi" else WithdrawEvent
+    return event(model.agent(promiser), body, model.agent(promisee))
 
 
 def _parse_event(stream: _Stream, model: PromiseModel) -> Event:
-    head = stream.expect_name("pi or pw")
-    if head.value not in ("pi", "pw"):
-        raise ParseError(head.line, head.column, "pi or pw", repr(head.value))
+    kind, _, column = stream.peek()
+    if kind == "event" and (event := _plain_event(_EVENT_RE.match(stream.text, column - 1), model)):
+        stream.pos += 1
+        return event
+    # any other shape, or a name the model lacks: token by token, raising
+    # every diagnostic
+    _, head, column = stream.expect_name("pi or pw")
+    if head not in ("pi", "pw"):
+        raise ParseError(stream.line, column, "pi or pw", repr(head))
     stream.expect_sym("(")
     promiser = _agent(stream, model)
-    performer = None
-    if stream.at_sym("["):
-        stream.advance()
-        performer = _agent(stream, model)
-        stream.expect_sym("]")
+    performer = _bracketed_agent(stream, model)
     stream.expect_sym(",")
     body = _parse_body(stream, model)
     stream.expect_sym(",")
     promisee = _agent(stream, model)
-    beneficiary = None
-    if stream.at_sym("["):
-        stream.advance()
-        beneficiary = _agent(stream, model)
-        stream.expect_sym("]")
+    beneficiary = _bracketed_agent(stream, model)
     stream.expect_sym(")")
-    delegated = performer is not None or beneficiary is not None
-    if head.value == "pw":
-        if delegated:
-            raise ValidationError(
-                f"line {head.line}: withdrawal events cannot be delegated"
-            )
-        return WithdrawEvent(promiser, body, promisee)
-    if delegated:
-        return GeneralizedIntroduceEvent(
-            promiser,
-            performer if performer is not None else promiser,
-            body,
-            promisee,
-            beneficiary if beneficiary is not None else promisee,
-        )
-    return IntroduceEvent(promiser, body, promisee)
+    if performer is None and beneficiary is None:
+        return (IntroduceEvent if head == "pi" else WithdrawEvent)(promiser, body, promisee)
+    if head == "pw":
+        raise ValidationError(f"line {stream.line}: withdrawal events cannot be delegated")
+    return GeneralizedIntroduceEvent(promiser, performer or promiser, body, promisee, beneficiary or promisee)
+
+
+def _bracketed_agent(stream: _Stream, model: PromiseModel) -> Agent | None:
+    """The ``[NAME]`` after an event's promiser or promisee, if any."""
+    if not stream.at_sym("["):
+        return None
+    stream.advance()
+    agent = _agent(stream, model)
+    stream.expect_sym("]")
+    return agent
 
 
 def _parse_promise_list(stream: _Stream, model: PromiseModel) -> list[Promise]:
@@ -420,10 +423,9 @@ def _parse_promise_list(stream: _Stream, model: PromiseModel) -> list[Promise]:
         if not isinstance(event, IntroduceEvent):
             raise ValidationError("initial states may only contain basic promises (pi)")
         promises.append(Promise(event.promiser, event.body, event.promisee))
-        if stream.at_sym(","):
-            stream.advance()
-            continue
-        return promises
+        if not stream.at_sym(","):
+            return promises
+        stream.advance()
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +456,7 @@ def _parse(stream: _Stream, operators: dict, prefix, primary):
             continue
         node = primary(stream)
         while True:
-            tok = stream.peek()
-            op = operators.get(tok.value) if tok is not None else None
+            op = operators.get(stream.peek()[1])
             # build the pending entries that bind at least as tightly as the
             # operator (more tightly, if it is right-associative); with no
             # operator, all of them down to the innermost open parenthesis
@@ -476,13 +477,14 @@ def _parse_condition(stream: _Stream, model: PromiseModel) -> Condition:
     bound: dict[str, int] = {}  # each quantifier variable in scope, with how many bind it
 
     def prefix(stream: _Stream):
-        if stream.at_name("not"):
+        word = stream.peek()[1]
+        if word == "not":
             stream.advance()
             return Not.binding, Not
-        if not stream.at_name("forall"):
+        if word != "forall":
             return None
         stream.advance()
-        var = stream.expect_name("a quantifier variable").value
+        var = stream.expect_name("a quantifier variable")[1]
         stream.expect_sym("!=")
         excluding = _agent_ref(stream, model, bound)
         stream.expect_sym(":")
@@ -500,24 +502,20 @@ def _parse_condition(stream: _Stream, model: PromiseModel) -> Condition:
 
 
 def _agent_ref(stream: _Stream, model: PromiseModel, bound: dict[str, int]):
-    tok = stream.expect_name("an agent or quantifier variable")
-    if tok.value in bound:
-        return AgentVar(tok.value)
-    if model.has_agent(tok.value):
-        return model.agent(tok.value)
-    raise ValidationError(
-        f"line {tok.line}, column {tok.column}: unknown agent {tok.value!r}"
-    )
+    _, name, column = stream.expect_name("an agent or quantifier variable")
+    if name in bound:
+        return AgentVar(name)
+    if model.has_agent(name):
+        return model.agent(name)
+    raise ValidationError(f"line {stream.line}, column {column}: unknown agent {name!r}")
 
 
 def _condition_primary(stream: _Stream, model: PromiseModel, bound: dict[str, int]) -> Condition:
-    if stream.at_name("true"):
+    word = stream.peek()[1]
+    if word == "true" or word == "false":
         stream.advance()
-        return TRUE
-    if stream.at_name("false"):
-        stream.advance()
-        return FALSE
-    if stream.at_name("p"):
+        return TRUE if word == "true" else FALSE
+    if word == "p":
         stream.advance()
         stream.expect_sym("(")
         promiser = _agent_ref(stream, model, bound)
@@ -527,7 +525,7 @@ def _condition_primary(stream: _Stream, model: PromiseModel, bound: dict[str, in
         promisee = _agent_ref(stream, model, bound)
         stream.expect_sym(")")
         return HasPromise(promiser, body, promisee)
-    if stream.at_name("E"):
+    if word == "E":
         stream.advance()
         stream.expect_sym("(")
         body = _parse_body(stream, model)
@@ -547,16 +545,15 @@ def _guard_prefix(stream: _Stream, model: PromiseModel):
 
 
 def _term_primary(stream: _Stream, model: PromiseModel, definitions: dict[str, ProcessTerm]) -> ProcessTerm:
-    if stream.at_name("delta"):
-        stream.advance()
-        return DEADLOCK
-    if stream.at_name("ok"):
-        stream.advance()
-        return DONE
-    if stream.at_name("pi", "pw"):
+    kind, word, column = stream.peek()
+    if kind not in _NAMES:
+        stream.fail("a process term")
+    if word == "pi" or word == "pw":
         return Act(_parse_event(stream, model))
-    if stream.at_name("protocol"):
-        head = stream.advance()
+    stream.advance()
+    if word == "delta" or word == "ok":
+        return DEADLOCK if word == "delta" else DONE
+    if word == "protocol":
         stream.expect_sym("(")
         initiator = _agent(stream, model)
         stream.expect_sym(",")
@@ -567,45 +564,40 @@ def _term_primary(stream: _Stream, model: PromiseModel, definitions: dict[str, P
         try:
             return make_protocol(model, initiator, responder, body)
         except InvalidBody as err:
-            raise ValidationError(f"line {head.line}: {err}") from err
-    if stream.at_name():
-        tok = stream.advance()
-        if tok.value in definitions:
-            return definitions[tok.value]
-        raise ValidationError(
-            f"line {tok.line}, column {tok.column}: unknown process {tok.value!r}"
-        )
-    stream.fail("a process term")
+            raise ValidationError(f"line {stream.line}: {err}") from err
+    if word in definitions:
+        return definitions[word]
+    raise ValidationError(f"line {stream.line}, column {column}: unknown process {word!r}")
 
 
-def _parse_term_stream(
-    stream: _Stream, model: PromiseModel, definitions: dict[str, ProcessTerm]
-) -> ProcessTerm:
-    return _parse(
-        stream,
-        _TERM_OPERATORS,
-        partial(_guard_prefix, model=model),
-        partial(_term_primary, model=model, definitions=definitions),
-    )
+def _parse_term_stream(stream: _Stream, model: PromiseModel, definitions: dict[str, ProcessTerm]) -> ProcessTerm:
+    guard, primary = partial(_guard_prefix, model=model), partial(_term_primary, model=model, definitions=definitions)
+    return _parse(stream, _TERM_OPERATORS, guard, primary)
 
 
 def parse_term(text: str, model: PromiseModel, definitions: dict[str, ProcessTerm] | None = None) -> ProcessTerm:
     """Parse a single process term (used for terms outside scenario files)."""
-    tokens = _tokenize(_decomment(text), 1)
-    stream = _Stream(tokens, 1, len(text) + 1)
+    line = _decomment(text)
+    stream = _Stream(_tokenize(line, 1), 1, line, len(text) + 1)
     term = _parse_term_stream(stream, model, definitions or {})
     stream.expect_end()
     return term
 
 
 def parse_trace(text: str, model: PromiseModel) -> list[Event]:
-    """Parse a trace file: one event per line, ``#`` comments allowed."""
+    """Parse a trace file: one event per line, ``#`` comments allowed. A
+    line that is one plain event is read with one match."""
     events: list[Event] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(_decomment(raw), lineno)
+        line = _decomment(raw)
+        match = _EVENT_LINE_RE.fullmatch(line)
+        if match and (event := _plain_event(match, model)):
+            events.append(event)
+            continue
+        tokens = _tokenize(line, lineno)
         if not tokens:
             continue
-        stream = _Stream(tokens, lineno, len(raw) + 1)
+        stream = _Stream(tokens, lineno, line, len(raw) + 1)
         events.append(_parse_event(stream, model))
         stream.expect_end()
     return events

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from .process_algebra import (
     Configuration,
@@ -107,7 +108,8 @@ class Lts:
     transitions as (event id, node id), sorted by rendered event, then
     successor; an event's id is its place in ``_events``, which are in
     rendered order, so that ids sort as reports do. ``edges`` are made from
-    these at their first read.
+    these at their first read. ``_texts`` keeps the renderings the build
+    made, so that a report renders no event again.
     """
 
     def __init__(
@@ -116,12 +118,14 @@ class Lts:
         successors: list[list[tuple[int, int]]],
         events: list[Event],
         expanded: int,
+        texts: _Renderings | None = None,
     ):
         self.initial = configs[0]
         self.nodes = tuple(configs[:expanded])
         self._configs = configs
         self._successors = successors
         self._events = events
+        self._texts = _Renderings() if texts is None else texts
 
     @cached_property
     def edges(self) -> tuple[tuple[Configuration, Event, Configuration], ...]:
@@ -174,7 +178,7 @@ def build_lts(
     order = sorted(range(len(events)), key=lambda number: texts[events[number]])
     rank = {old: new for new, old in enumerate(order)}
     successors = [[(rank[event], target) for event, target in moves] for moves in successors]
-    lts = Lts(configs, successors, [events[old] for old in order], node_limit)
+    lts = Lts(configs, successors, [events[old] for old in order], node_limit, texts)
     if len(configs) > node_limit:
         raise LimitExceeded("node", node_limit, partial=lts)
     return lts
@@ -188,8 +192,7 @@ class Outcome(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """A maximal run: its events in order, and how it ended."""
 
     events: tuple[Event, ...]

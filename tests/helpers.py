@@ -26,3 +26,17 @@ def long_negotiation(goods: int) -> tuple[str, list[str]]:
     events += [e for g in names for e in (f"pw(s, {g}, m)", f"pw(m, ~{g}, s)")]
     lines = ["agent s m", "type t", *(f"task {g} : t" for g in names), "run " + " . ".join(events)]
     return "\n".join(lines) + "\n", events
+
+
+def offers(n: int) -> str:
+    """``n`` concurrent offers of one exclusive lift; n=2 is the ride."""
+    offerers = [f"o{i}" for i in range(n)]
+    return "\n".join(
+        [
+            "agent c " + " ".join(offerers),
+            "type transport",
+            "task lift : transport",
+            "exclusive ~lift",
+            "run " + " || ".join(f"protocol({o}, c, lift)" for o in offerers),
+        ]
+    ) + "\n"

@@ -6,12 +6,18 @@ import json
 
 import pytest
 
+from promisekit.cli import _build_parser
 from promisekit.corpus import corpus_path
 from promisekit.dsl import parse_scenario, parse_term
 from promisekit.explorer import Lts
-from promisekit.process_algebra import can_terminate
+from promisekit.process_algebra import (
+    GeneralizedIntroduceEvent,
+    IntroduceEvent,
+    WithdrawEvent,
+    can_terminate,
+)
 
-from helpers import long_negotiation, run_cli
+from helpers import long_negotiation, offers, run_cli
 
 JUB = str(corpus_path("jub.promise"))
 LAWS = str(corpus_path("laws.promise"))
@@ -253,6 +259,62 @@ class TestUsage:
         code, _, err = run_cli(["run", JUB, flag, "1"])
         assert code == 64
         assert "unrecognized arguments" in err
+
+
+class TestFixedCostsPaidOnce:
+    """One argument parser serves every call of a process, and a report
+    renders each event once."""
+
+    def _calls(self, tmp_path) -> list[list[str]]:
+        broken = tmp_path / "broken.promise"
+        broken.write_text("agent a b\ntype t\ntask x : t\nrun pi(a, x, q)\n", encoding="utf-8")
+        calls = []
+        for fmt in ("text", "json"):
+            calls += [
+                ["check", JUB, "--format", fmt],
+                ["explore", JUB, "--strict-conflicts", "--format", fmt],
+                ["explore", JUB, "--max-traces", "5", "--format", fmt],
+                ["run", JUB, "--seed", "7", "--format", fmt],
+                ["run", JUB, "--format", fmt],
+                ["verify-trace", JUB, "--trace", TRACE, "--strict-conflicts", "--format", fmt],
+                ["verify-trace", JUB, "--trace", TRACE, "--format", fmt],
+            ]
+        calls += [
+            ["explore", JUB, "--format", "yaml"],  # usage error
+            ["explore", str(broken)],  # scenario parse error
+            ["explore", JUB],
+        ]
+        return calls
+
+    def test_calls_keep_no_state_between_them(self, tmp_path):
+        calls = self._calls(tmp_path)
+        first = []
+        for argv in calls:  # each call made first, with a parser of its own
+            _build_parser.cache_clear()
+            first.append(run_cli(argv))
+        _build_parser.cache_clear()
+        shared = [run_cli(argv) for argv in calls]
+        assert _build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in first[-3:]] == [64, 1, 0]
+        assert "unknown agent 'q'" in first[-2][2]
+        for argv, alone, after in zip(calls, first, shared):
+            assert after == alone, argv
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_explore_renders_each_event_once(self, tmp_path, monkeypatch, fmt):
+        scenario = tmp_path / "offers.promise"
+        scenario.write_text(offers(2), encoding="utf-8")
+        renders: dict = {}
+        for cls in (IntroduceEvent, WithdrawEvent, GeneralizedIntroduceEvent):
+
+            def counting(event, render=cls.__str__):
+                renders[event] = renders.get(event, 0) + 1
+                return render(event)
+
+            monkeypatch.setattr(cls, "__str__", counting)
+        code, out, _ = run_cli(["explore", str(scenario), "--format", fmt])
+        assert code == 0 and out.count("pi(o0, lift, c)") == 340  # in every trace
+        assert len(renders) == 10 and set(renders.values()) == {1}  # five events per offer
 
 
 class TestLongSequences:

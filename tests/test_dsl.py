@@ -402,3 +402,101 @@ class TestTraceFiles:
         with pytest.raises(ParseError) as exc:
             parse_trace("pi(ja, tbc2JUB, ma)\npx(ja, tbc2JUB, ma)\n", ride_model)
         assert exc.value.line == 2
+
+
+SPACES = st.sampled_from(["", " ", "  ", "\t", " "])
+AGENT_NAMES = st.sampled_from(["a", "b", "c", "zz", "pi", "delta", "a1_"])
+ATOM_NAMES = st.sampled_from(["x", "y", "q", "ok", "x2"])
+
+
+@st.composite
+def event_texts(draw):
+    """Event-like texts: plain events, delegated ones, unknown agents and
+    atoms, reserved words, wrong heads, missing or extra tokens."""
+    head = draw(st.sampled_from(["pi", "pw", "pi", "pw", "p", "px", "pii"]))
+    prefixes = draw(st.lists(st.sampled_from(["!", "~"]), max_size=3))
+    body = [*prefixes, draw(ATOM_NAMES)]
+    if draw(st.booleans()):  # prefixes written apart
+        body = [" ".join(body[:-1]) + draw(SPACES) + body[-1]] if prefixes else body
+    else:
+        body = ["".join(body)]
+    parts = [head, "(", draw(AGENT_NAMES)]
+    if draw(st.integers(0, 3)) == 0:
+        parts += ["[", draw(AGENT_NAMES), "]"]
+    parts += [",", *body, ",", draw(AGENT_NAMES)]
+    if draw(st.integers(0, 3)) == 0:
+        parts += ["[", draw(AGENT_NAMES), "]"]
+    parts.append(")")
+    if draw(st.integers(0, 4)) == 0:  # a token dropped or doubled
+        at = draw(st.integers(0, len(parts) - 1))
+        parts[at:at + 1] = draw(st.sampled_from([[], [parts[at]] * 2]))
+    text = "".join(part + draw(SPACES) for part in parts)
+    return text + draw(st.sampled_from(["", " junk", ")", " $", ", pi(a, x, b)", " . pi(b, y, a)"]))
+
+
+def _answer(parse):
+    """What a parse gives: its value, or its error's class, message, line
+    and column."""
+    try:
+        value = parse()
+    except (ParseError, ValidationError) as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+    return type(value), value
+
+
+def _token_by_token(monkeypatch):
+    """Make the parser read every event through its general path: no event
+    tokens and no plain-event reads."""
+    import promisekit.dsl as dsl
+
+    monkeypatch.setattr(dsl, "_SCAN_RE", dsl._TOKEN_RE)
+    monkeypatch.setattr(dsl, "_plain_event", lambda match, model: None)
+
+
+class TestEventFastPath:
+    """Plain events are read in one match; every other shape, and every
+    diagnostic, comes from the general path. Both give the same answer."""
+
+    HEADER = "agent a b c\ntype t\ntask x : t\ntask y : t\ntask x2 : t\n"
+
+    def _texts(self, event: str) -> dict:
+        h = self.HEADER
+        return {
+            "term": lambda: parse_term(event, GEN_MODEL),
+            "sequence": lambda: parse_term(f"pi(a, x, b) . {event} + delta", GEN_MODEL),
+            "trace": lambda: parse_trace(f"pi(a, x, b)\n{event}\n  {event}  # note\n", GEN_MODEL),
+            "run": lambda: parse_scenario(f"{h}run {event} || {event}\n"),
+            "def": lambda: parse_scenario(f"{h}def d = [true] -> {event}\nrun d . d\n"),
+            "init": lambda: parse_scenario(f"{h}init {event}\nrun delta\n"),
+            # an event where the syntax wants something else
+            "agent": lambda: parse_scenario(f"agent a {event}\nrun delta\n"),
+            "directive": lambda: parse_scenario(f"{h}{event}\nrun delta\n"),
+            "body": lambda: parse_scenario(f"{h}run pi(a, {event}, b)\n"),
+            "condition": lambda: parse_scenario(f"{h}run [p(a, x, b) and {event}] -> delta\n"),
+            "promiser": lambda: parse_scenario(f"{h}run [p({event}, x, b)] -> delta\n"),
+            "protocol": lambda: parse_scenario(f"{h}run protocol({event}, b, x)\n"),
+            "quantifier": lambda: parse_scenario(f"{h}run [forall {event} != a : true] -> delta\n"),
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(event_texts())
+    def test_fast_and_general_paths_agree(self, event):
+        fast = {name: _answer(parse) for name, parse in self._texts(event).items()}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _token_by_token(monkeypatch)
+            general = {name: _answer(parse) for name, parse in self._texts(event).items()}
+        assert fast == general
+
+    def test_plain_events_take_the_fast_path(self, monkeypatch):
+        import promisekit.dsl as dsl
+
+        read, plain = [], dsl._plain_event
+        monkeypatch.setattr(dsl, "_plain_event", lambda match, model: read.append(match[0]) or plain(match, model))
+        monkeypatch.setattr(dsl, "_agent", None)  # the general path's agent reader
+        a, b = GEN_MODEL.agent("a"), GEN_MODEL.agent("b")
+        term = parse_term("pi(a, ~x, b) . pw( b ,!~y, a)", GEN_MODEL)
+        assert term == Seq(
+            Act(IntroduceEvent(a, GEN_MODEL.body("~x"), b)), Act(WithdrawEvent(b, GEN_MODEL.body("!~y"), a))
+        )
+        assert parse_trace("pi(a, ~x, b)\n", GEN_MODEL) == [term.left.event]
+        assert read == ["pi(a, ~x, b)", "pw( b ,!~y, a)", "pi(a, ~x, b)"]

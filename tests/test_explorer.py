@@ -50,7 +50,7 @@ from promisekit.process_algebra import (
 from promisekit.promise_state import EMPTY_STATE, Agent, Promise, State
 from promisekit.task_algebra import GAMMA
 
-from helpers import long_negotiation, run_cli
+from helpers import long_negotiation, offers, run_cli
 from scenario_gen import random_scenario_text
 from sos_oracle import explorer_trace_set, oracle_traces
 
@@ -73,20 +73,6 @@ TRACE_ORDER_CASES = [
 TRACE_ORDER_CASES += [
     pytest.param(random_scenario_text(seed), False, id=f"generated-{seed}") for seed in range(12)
 ]
-
-
-def offers(n: int) -> str:
-    """``n`` concurrent offers of one exclusive lift; n=2 is the ride."""
-    offerers = [f"o{i}" for i in range(n)]
-    return "\n".join(
-        [
-            "agent c " + " ".join(offerers),
-            "type transport",
-            "task lift : transport",
-            "exclusive ~lift",
-            "run " + " || ".join(f"protocol({o}, c, lift)" for o in offerers),
-        ]
-    ) + "\n"
 
 
 # the corpus, every golden scenario and two larger offer families
