@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from promisekit import dsl
 from promisekit.corpus import corpus_text
 from promisekit.dsl import (
     ParseError,
@@ -404,7 +405,7 @@ class TestTraceFiles:
         assert exc.value.line == 2
 
 
-SPACES = st.sampled_from(["", " ", "  ", "\t", " "])
+SPACES = st.sampled_from(["", " ", "  ", "\t", "\u00a0"])  # the last a no-break space
 AGENT_NAMES = st.sampled_from(["a", "b", "c", "zz", "pi", "delta", "a1_"])
 ATOM_NAMES = st.sampled_from(["x", "y", "q", "ok", "x2"])
 
@@ -447,8 +448,6 @@ def _answer(parse):
 def _token_by_token(monkeypatch):
     """Make the parser read every event through its general path: no event
     tokens and no plain-event reads."""
-    import promisekit.dsl as dsl
-
     monkeypatch.setattr(dsl, "_SCAN_RE", dsl._TOKEN_RE)
     monkeypatch.setattr(dsl, "_plain_event", lambda match, model: None)
 
@@ -488,8 +487,6 @@ class TestEventFastPath:
         assert fast == general
 
     def test_plain_events_take_the_fast_path(self, monkeypatch):
-        import promisekit.dsl as dsl
-
         read, plain = [], dsl._plain_event
         monkeypatch.setattr(dsl, "_plain_event", lambda match, model: read.append(match[0]) or plain(match, model))
         monkeypatch.setattr(dsl, "_agent", None)  # the general path's agent reader
