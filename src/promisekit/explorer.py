@@ -120,7 +120,6 @@ class Lts:
         expanded: int,
         texts: _Renderings | None = None,
     ):
-        self.initial = configs[0]
         self.nodes = tuple(configs[:expanded])
         self._configs = configs
         self._successors = successors

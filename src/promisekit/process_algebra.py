@@ -21,7 +21,6 @@ from .promise_state import (
     PromiseModel,
     State,
     _Table,
-    _table_of,
 )
 from .task_algebra import (
     StoredHash,
@@ -293,7 +292,7 @@ def eval_condition(
 ) -> bool:
     """Evaluate a closed condition against a state: compile it under
     ``env`` (see ``_compile``), then test the state's bits."""
-    table = _table_of(model)
+    table = model._table
     return _passes(_compile(model, table, cond, env or {}), table.bits(model, state))
 
 
@@ -477,16 +476,8 @@ class Deadlock:
         return "delta"
 
 
-class _Term(_Node):
-    """Terms with parts store their hash (see ``_Node``): exploration keeps
-    configurations in sets, and recomputing a deep hash at every lookup
-    would dominate."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True, slots=True)
-class Act(_Term):
+class Act(_Node):
     event: Event
 
     def __str__(self) -> str:
@@ -494,7 +485,7 @@ class Act(_Term):
 
 
 @dataclass(frozen=True, slots=True)
-class Seq(_Term):
+class Seq(_Node):
     left: "ProcessTerm"
     right: "ProcessTerm"
 
@@ -502,7 +493,7 @@ class Seq(_Term):
 
 
 @dataclass(frozen=True, slots=True)
-class Alt(_Term):
+class Alt(_Node):
     left: "ProcessTerm"
     right: "ProcessTerm"
 
@@ -510,7 +501,7 @@ class Alt(_Term):
 
 
 @dataclass(frozen=True, slots=True)
-class Par(_Term):
+class Par(_Node):
     left: "ProcessTerm"
     right: "ProcessTerm"
 
@@ -518,7 +509,7 @@ class Par(_Term):
 
 
 @dataclass(frozen=True, slots=True)
-class Guard(_Term):
+class Guard(_Node):
     """The guard prefixes the smallest term to its right."""
 
     condition: Condition
@@ -916,7 +907,7 @@ def _locate(model: PromiseModel, config: Configuration) -> tuple[_Point, int]:
     at its first step under the model, and keeps both."""
     engine = model._engine
     if engine is None:
-        engine = _Engine(_table_of(model))
+        engine = _Engine(model._table)
         _set(model, "_engine", engine)
     point = config._point
     if point is None or point.table is not engine.table:

@@ -104,20 +104,25 @@ class SubordinationOrder:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Agent, Agent]]) -> "SubordinationOrder":
-        declared = frozenset((low, high) for low, high in pairs if low != high)
-        closure = set(declared)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in tuple(closure):
-                for c, d in tuple(closure):
-                    if b == c and (a, d) not in closure and a != d:
-                        closure.add((a, d))
-                        changed = True
-        for a, b in closure:
+        """The order the pairs declare. Every cycle holds a declared pair,
+        so a cycle is reported at the first pair, in the order given, whose
+        reverse the closure holds."""
+        given = [(low, high) for low, high in pairs if low != high]
+        above: dict[Agent, list[Agent]] = {}
+        for low, high in given:
+            above.setdefault(low, []).append(high)
+        closure = set()
+        for low, highs in above.items():  # each agent's search up the declared pairs
+            pending = list(highs)
+            while pending:
+                high = pending.pop()
+                if high != low and (low, high) not in closure:
+                    closure.add((low, high))
+                    pending.extend(above.get(high, ()))
+        for a, b in given:
             if (b, a) in closure:
                 raise SubordinationCycle(f"agents {a} and {b} are subordinated to each other")
-        return cls(declared=declared, closure=frozenset(closure))
+        return cls(declared=frozenset(given), closure=frozenset(closure))
 
     def subordinate(self, low: Agent, high: Agent) -> bool:
         return low == high or (low, high) in self.closure
@@ -139,16 +144,14 @@ class PromiseModel:
     incompatibility: IncompatibilityRelation
     exclusiveness: ExclusivenessRegistry
     strict_conflicts: bool = False
-    # name lookups, derived from ``agents`` and ``atoms``; every body of
-    # every atom, made once, by (atom name, usage, negated)
+    # agents by name; every body of every atom, made once, by (atom name,
+    # usage, negated); and the numbered promises, made with the model
     _agents_by_name: Mapping[str, Agent] = field(init=False, repr=False, compare=False)
-    _atoms_by_name: Mapping[str, TaskAtom] = field(init=False, repr=False, compare=False)
     _bodies: Mapping[tuple[str, bool, bool], TaskBody] = field(init=False, repr=False, compare=False)
+    _table: _Table = field(init=False, repr=False, compare=False)
     # the compiled terms of the process engine (``process_algebra._Engine``),
     # made at the first step under this model
     _engine: object = field(default=None, init=False, repr=False, compare=False)
-    # the numbered promises (``_Table``), made at their first use
-    _table: object = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -188,8 +191,6 @@ class PromiseModel:
                 raise ModelError(f"atom {name!r} is reserved")
             if type_name == COMPLIANCE_TYPE.name:
                 raise ModelError(f"type {COMPLIANCE_TYPE.name!r} is reserved for the compliance atom")
-            if name in atom_map:
-                raise ModelError(f"duplicate atom {name!r}")
             if type_name not in type_map:
                 raise ModelError(f"atom {name!r} has unknown type {type_name!r}")
             atom_map[name] = TaskAtom(name, type_map[type_name])
@@ -222,9 +223,9 @@ class PromiseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "_agents_by_name", {a.name: a for a in self.agents})
-        object.__setattr__(self, "_atoms_by_name", {a.name: a for a in self.atoms})
         bodies = {(b.atom.name, b.usage, b.negated): b for b in all_bodies(self.atoms)}
         object.__setattr__(self, "_bodies", bodies)
+        object.__setattr__(self, "_table", _Table())
 
     def agent(self, name: str) -> Agent:
         if name not in self._agents_by_name:
@@ -363,15 +364,6 @@ class _Table:
         return bits
 
 
-def _table_of(model: PromiseModel) -> _Table:
-    """The model's promise table, made at its first use."""
-    table = model._table
-    if table is None:
-        table = _Table()
-        _set(model, "_table", table)
-    return table
-
-
 @dataclass(frozen=True, slots=True)
 class State:
     """An immutable set of non-conflicting basic promises, made from any
@@ -448,7 +440,7 @@ def pi_enabled(model: PromiseModel, state: State, promise: Promise) -> bool:
 def try_introduce(model: PromiseModel, state: State, promise: Promise) -> State | None:
     """The state with the promise added, or None when it is not enabled:
     when the state's bits meet the promise's clash mask."""
-    table = _table_of(model)
+    table = model._table
     number = table.number(model, promise)
     if table.bits(model, state) & table.masks[number]:
         return None
@@ -520,14 +512,14 @@ def state_clashes(model: PromiseModel, state: State) -> list[tuple[str, Promise,
     """Every pair of promises in the state that clash, as (reason, first,
     second) with each pair and the list in rendered order. Empty for any
     state reached through enabled introductions."""
-    return _clashes(model, _table_of(model).bits(model, state))
+    return _clashes(model, model._table.bits(model, state))
 
 
 def _clashes(model: PromiseModel, bits: int) -> list[tuple[str, Promise, Promise]]:
     """``state_clashes`` of the state with these bits in the model's table:
     each held promise whose mask is not empty is ANDed with the state, and
     only the pairs found are told apart by ``clash``."""
-    table = _table_of(model)
+    table = model._table
     promises, masks = table.promises, table.masks
     found = []
     for number in _ones(bits & table.risky):

@@ -255,11 +255,11 @@ def build_incompatibility(
 
     The result always contains (x, !x) for every body x over the atoms.
     Raises TypeMismatch, ReflexiveDeclaration, NegationConflict or
-    ReservedAtomDeclaration when the declarations cannot be closed.
+    ReservedAtomDeclaration at the first declared pair that breaks a law.
     """
     atoms = tuple(atoms)
     known = set(atoms)
-    declared_pairs: set[frozenset[TaskBody]] = set()
+    written: dict[frozenset[TaskBody], tuple[TaskBody, TaskBody]] = {}  # each pair, as first given
     for x, y in declared:
         if x.atom not in known or y.atom not in known:
             raise UnknownAtom(f"incompatibility over unknown atom in ({x}, {y})")
@@ -274,19 +274,16 @@ def build_incompatibility(
                 f"incompatible bodies must share a type: "
                 f"{x} is {type_of(x)}, {y} is {type_of(y)}"
             )
-        declared_pairs.add(frozenset((x, y)))
+        written.setdefault(frozenset((x, y)), (x, y))
 
-    axioms = {frozenset((x, negate(x))) for x in all_bodies(atoms)}
-    closure = axioms | declared_pairs
-    for pair in closure:
-        x, y = tuple(pair)
+    # an axiom pair {z, !z} equals {u, !v} only when u = v, which is
+    # reflexive, so only the declared pairs can break the negation law
+    for x, y in written.values():
         for u, v in ((x, y), (y, x)):
-            clash = frozenset((u, negate(v)))
-            if len(clash) == 2 and clash in closure:
-                raise NegationConflict(
-                    f"({u}, {v}) and ({u}, {negate(v)}) cannot both be incompatible"
-                )
-    return IncompatibilityRelation(pairs=frozenset(closure), declared=frozenset(declared_pairs))
+            if frozenset((u, negate(v))) in written:
+                raise NegationConflict(f"({u}, {v}) and ({u}, {negate(v)}) cannot both be incompatible")
+    axioms = [frozenset((TaskBody(atom, u), TaskBody(atom, u, True))) for atom in atoms for u in (False, True)]
+    return IncompatibilityRelation(pairs=frozenset((*axioms, *written)), declared=frozenset(written))
 
 
 def incompatible(rel: IncompatibilityRelation, x: TaskBody, y: TaskBody) -> bool:

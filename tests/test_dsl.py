@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +195,66 @@ class TestScenarioErrors:
     def test_delegated_withdrawal_is_rejected(self):
         with pytest.raises(ValidationError):
             parse_scenario("agent a b\ntype t\ntask x : t\nrun pw(a[b], x, a)\n")
+
+
+# Each text breaks a model law, and its diagnostic names the first
+# offending declaration as written.
+MODEL_DIAGNOSTICS = {
+    "two_cycle": (
+        "agent a b\nsubord a <= b\nsubord b <= a\nrun delta\n",
+        "agents a and b are subordinated to each other",
+    ),
+    "three_cycle": (
+        "agent a b c\nsubord b <= c\nsubord c <= a\nsubord a <= b\nrun delta\n",
+        "agents b and c are subordinated to each other",
+    ),
+    "negation_conflict": (
+        "agent a\ntype t\ntask x : t\ntask y : t\nincompatible x # y\nincompatible x # !y\nrun delta\n",
+        "(x, y) and (x, !y) cannot both be incompatible",
+    ),
+    "negated_first": (
+        "agent a\ntype t\ntask x : t\ntask y : t\nincompatible x # !y\nincompatible y # x\nrun delta\n",
+        "(x, !y) and (x, y) cannot both be incompatible",
+    ),
+}
+
+_DIAGNOSE = """
+import json, sys
+from promisekit.dsl import ValidationError, parse_scenario
+messages = {}
+for name, text in json.loads(sys.stdin.read()).items():
+    try:
+        parse_scenario(text)
+    except ValidationError as err:
+        messages[name] = str(err)
+print(json.dumps(messages))
+"""
+
+
+@pytest.fixture(scope="module")
+def diagnostics_by_seed():
+    """Each text's diagnostic under hash seeds 0-5, one process each: body
+    hashes also hold the class object's hash, which is its address, so
+    one seed in one process would not show an order that depends on them."""
+    src = str(Path(dsl.__file__).resolve().parents[1])
+    texts = json.dumps({name: text for name, (text, _) in MODEL_DIAGNOSTICS.items()})
+    found = {}
+    for seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _DIAGNOSE], input=texts, capture_output=True, text=True, env=env, check=True
+        )
+        found[seed] = json.loads(run.stdout)
+    return found
+
+
+class TestModelDiagnostics:
+    @pytest.mark.parametrize("name", list(MODEL_DIAGNOSTICS))
+    def test_first_offending_declaration_under_every_hash_seed(self, diagnostics_by_seed, name):
+        expected = MODEL_DIAGNOSTICS[name][1]
+        assert {seed: found.get(name) for seed, found in diagnostics_by_seed.items()} == dict.fromkeys(
+            range(6), expected
+        )
 
 
 class TestTermSyntax:

@@ -44,7 +44,7 @@ from promisekit.process_algebra import (
     step,
 )
 from promisekit.explorer import build_lts, transitions
-from promisekit.promise_state import EMPTY_STATE, Promise, PromiseModel, State, _table_of, introduce
+from promisekit.promise_state import EMPTY_STATE, Promise, PromiseModel, State, introduce
 from promisekit.task_algebra import GAMMA, all_bodies
 
 from scenario_gen import _random_condition, _random_term
@@ -507,7 +507,7 @@ class TestConditionOracle:
         # differs from example to example
         model = replace(ORACLE_MODEL, strict_conflicts=strict)
         for promise in seen:
-            _table_of(model).number(model, promise)
+            model._table.number(model, promise)
         # ``depth`` operators under up to three nested quantifiers, each
         # excluding an agent or an enclosing quantifier's variable
         names = tuple(f"q{i}" for i in range(quantifiers))

@@ -224,8 +224,32 @@ class TestSubordinationOrder:
 
     def test_cycle_is_rejected(self):
         a, b, c = Agent("a"), Agent("b"), Agent("c")
-        with pytest.raises(SubordinationCycle):
+        with pytest.raises(SubordinationCycle, match="^agents a and b "):
             SubordinationOrder.from_pairs([(a, b), (b, c), (c, a)])
+
+    def test_cycle_names_the_first_declared_pair(self):
+        a, b, c = Agent("a"), Agent("b"), Agent("c")
+        with pytest.raises(SubordinationCycle, match="^agents c and a "):
+            SubordinationOrder.from_pairs([(c, a), (a, b), (b, c)])
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10))
+    def test_closure_is_reachability(self, edges):
+        agents = [Agent(f"a{i}") for i in range(6)]
+        pairs = [(agents[low], agents[high]) for low, high in edges]
+        reach = {(low, high) for low, high in pairs if low != high}
+        for middle in agents:  # Warshall's algorithm
+            reach |= {(a, d) for a, b in reach if b == middle for c, d in reach if c == middle and a != d}
+        if any((b, a) in reach for a, b in reach):
+            with pytest.raises(SubordinationCycle):
+                SubordinationOrder.from_pairs(pairs)
+        else:
+            assert SubordinationOrder.from_pairs(pairs).closure == reach
+
+    def test_a_long_chain_closes_in_one_search_per_agent(self):
+        agents = [Agent(f"a{i}") for i in range(150)]
+        order = SubordinationOrder.from_pairs(list(zip(agents, agents[1:])))
+        assert len(order.closure) == 150 * 149 // 2
+        assert order.subordinate(agents[0], agents[-1]) and not order.subordinate(agents[-1], agents[0])
 
 
 class TestModelValidation:

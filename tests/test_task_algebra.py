@@ -182,8 +182,14 @@ class TestIncompatibility:
     def test_negation_conflict(self):
         atoms = ATOMS
         x, y = parse_body("train", atoms), parse_body("car", atoms)
-        with pytest.raises(NegationConflict):
+        with pytest.raises(NegationConflict, match=r"^\(train, car\) and \(train, !car\)"):
             build_incompatibility(MODEL.atoms, [(x, y), (x, negate(y))])
+
+    def test_negation_conflict_names_the_first_declared_pair(self):
+        atoms = ATOMS
+        x, y = parse_body("train", atoms), parse_body("car", atoms)
+        with pytest.raises(NegationConflict, match=r"^\(car, !train\) and \(car, train\)"):
+            build_incompatibility(MODEL.atoms, [(y, negate(x)), (x, y)])
 
     def test_compliance_atom_cannot_be_declared(self):
         with pytest.raises(ReservedAtomDeclaration):
