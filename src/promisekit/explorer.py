@@ -61,7 +61,17 @@ class LimitExceeded(Exception):
 
 class _Renderings(dict):
     """Each key's ``str``, computed at its first lookup: events, control
-    points, and states by (promise table, bits)."""
+    points, and states by (promise table, bits). ``events`` holds the
+    events' texts again, by ``id``, so that ordering moves hashes no event
+    (see ``_ordered``); ``held`` keeps those events alive, so that no other
+    object takes an id there."""
+
+    __slots__ = ("events", "held")
+
+    def __init__(self):
+        super().__init__()
+        self.events: dict[int, str] = {}
+        self.held: list[Event] = []
 
     def __missing__(self, item) -> str:
         if item.__class__ is tuple:
@@ -85,17 +95,28 @@ def transitions(
 def _ordered(
     model: PromiseModel, node: tuple[_Point, int], texts: _Renderings | None
 ) -> list[tuple[Event, tuple[_Point, int]]]:
-    """``transitions`` of a (control point, bits) node, as ``step`` gives
-    them for a node."""
+    """``transitions`` of a (control point, bits) node, in the form
+    ``step`` gives for a node, each transition once."""
     moves = step(model, node)
     if len(moves) > 1:
         texts = _Renderings() if texts is None else texts
-        if len({texts[event] for event, _ in moves}) == len(moves):
+        by_id = texts.events
+        keys = [by_id.get(id(event)) for event, _ in moves]
+        if None in keys:
+            for event, _ in moves:
+                if id(event) not in by_id:
+                    by_id[id(event)] = texts[event]
+                    texts.held.append(event)
+            keys = [by_id[id(event)] for event, _ in moves]
+        by_text = dict(zip(keys, moves))
+        if len(by_text) == len(moves):
             # distinct events decide the order: no successor is rendered
-            moves.sort(key=lambda move: texts[move[0]])
-        else:
-            table = node[0].table
-            moves.sort(key=lambda move: (texts[move[0]], texts[move[1][0]], texts[table, move[1][1]]))
+            return [by_text[key] for key in sorted(by_text)]
+        # two moves are one transition when they have one event and one
+        # successor; equal events share their action point, so are one object
+        moves = list({(id(event), after): (event, after) for event, after in moves}.values())
+        table = node[0].table
+        moves.sort(key=lambda move: (by_id[id(move[0])], texts[move[1][0]], texts[table, move[1][1]]))
     return moves
 
 
@@ -154,25 +175,27 @@ def build_lts(
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
-    ids = {_locate(model, initial): 0}  # each (control point, bits) reached, to its id
-    configs = [initial]  # by id, and the queue: the search expands them in order
+    start = _locate(model, initial)
+    ids = {start: 0}  # each (control point, bits) reached, to its id
+    nodes = [start]  # by id, and the queue: the search expands them in order
     successors: list[list[tuple[int, int]]] = []
     events: list[Event] = []  # in the order first met
     seen_events: dict[int, int] = {}  # each event's id, by id(event)
     texts = _Renderings()
-    for config in configs:
+    for node in nodes:
         if len(successors) == node_limit:
             break
         moves = []
-        for event, key in _ordered(model, _locate(model, config), texts):
-            target = ids.setdefault(key, len(configs))
-            if target == len(configs):
-                configs.append(_configuration(*key))
+        for event, key in _ordered(model, node, texts):
+            target = ids.setdefault(key, len(nodes))
+            if target == len(nodes):
+                nodes.append(key)
             number = seen_events.setdefault(id(event), len(events))
             if number == len(events):
                 events.append(event)
             moves.append((number, target))
         successors.append(moves)
+    configs = [initial] + [_configuration(*key) for key in nodes[1:]]
     successors += [[] for _ in range(len(configs) - len(successors))]  # ends past the limit
     order = sorted(range(len(events)), key=lambda number: texts[events[number]])
     rank = {old: new for new, old in enumerate(order)}

@@ -606,32 +606,51 @@ def step(
     """All one-step transitions of a configuration: the symbolic moves of
     its control point whose guards' compiled test the bits of its state
     pass and whose action is enabled there, as a set of (event, successor
-    configuration).
+    configuration). An interleaving's moves are its leaves' moves, each
+    made into a successor by replacing the leaf's slot.
 
     The explorer passes a node instead: a (control point of the model's
     engine, bits of a state) pair. It gets a list of (event, successor
-    node), each transition once, and no configuration is made. An
-    introduction is enabled when the bits miss its promise's clash mask,
-    a withdrawal when they hold its promise."""
+    node), where two moves may make one transition (see
+    ``explorer._ordered``), and no configuration is made. An introduction
+    is enabled when the bits miss its promise's clash mask, a withdrawal
+    when they hold its promise."""
     node = config.__class__ is tuple
     point, bits = config if node else _locate(model, config)
-    moves = point.moves if point.moves is not None else model._engine.derive(model, point)
+    engine = model._engine
     masks = point.table.masks
+    vector = point.op is Par
+    if vector:
+        shape, leaves = point.parts
+        row, points = list(leaves), engine.points
+    else:
+        leaves = (point,)
     found = []
-    for test, (event, flag, number, needed, withdraws), successor in moves:
-        if test is not None and not _passes(test, bits):
-            continue
-        if withdraws:
-            if bits & flag:
-                found.append((event, (successor, bits ^ flag)))
-        elif bits & needed == needed and not bits & masks[number]:
-            found.append((event, (successor, bits | flag)))
+    for slot, leaf in enumerate(leaves):
+        moves = leaf.moves if leaf.moves is not None else engine.derive(model, leaf)
+        for test, (event, flag, number, needed, withdraws), successor in moves:
+            if test is not None and not _passes(test, bits):
+                continue
+            if withdraws:
+                if not bits & flag:
+                    continue
+                after = bits ^ flag
+            elif bits & needed == needed and not bits & masks[number]:
+                after = bits | flag
+            else:
+                continue
+            if vector:
+                if successor.op is Par:
+                    successor = engine.replace(point, slot, successor)
+                else:  # ``replace`` inlined, on one copy of the leaves per step:
+                    # a call per move costs an offers build about 8%
+                    row[slot] = successor
+                    key = (shape, tuple(row))
+                    row[slot] = leaf
+                    successor = points.get(key) or engine._vector(*key)
+            found.append((event, (successor, after)))
     if not node:
         return {(event, _configuration(*after)) for event, after in found}
-    if len(found) > 1:
-        # two moves are one transition when they have one event and one
-        # successor; equal events share their action point, so are one object
-        found = list({(id(event), after): (event, after) for event, after in found}.values())
     return found
 
 
@@ -651,19 +670,31 @@ def step(
 # and a move whose test never holds is dropped. A left
 # chain of ``.`` operands is its innermost operand and a hash-consed list
 # of the rest, so stepping along a sequence moves one place down that list.
+# An interleaving is one point for its whole ``||`` tree, as mCRL2 keeps a
+# vector of component states: the tuple of its leaves, the points of its
+# operands that are not interleavings, and the tree's shape, the number
+# of joins that close after each leaf in postfix order (see ``_flatten``).
+# It keeps no moves: its leaves' moves, each derived once per leaf point,
+# are its own, and a step makes a move's successor by replacing the leaf's
+# slot and looking the result up. A leaf that steps into an interleaving
+# is spliced in, leaves and shape, so that an interleaving has one point
+# however it was reached: compiled, or stepped to under ``.``, ``+`` or a
+# guard, whose moves are made from an interleaving's in the same way.
 
 
 class _Point:
     """A control point: one distinct term. ``op`` is the term's class and
-    ``parts`` its operands as points: an action's event; a choice's or
-    interleaving's two sides; a guard's condition and body; a sequence's
-    innermost operand, which is never a sequence, and the ``_Cell`` list
-    of the operands after it. ``moves`` is None until derived. ``table``
-    is the promise table of the model whose engine made the point, which
-    numbers the bits of the states the point is paired with; it stands
-    for the engine without referring to it: the engine's tables refer to
-    every point, and a cycle would keep a model's tables alive until a
-    garbage collection."""
+    ``parts`` its operands: an action's event; a choice's two sides and a
+    guard's condition and body, as points; a sequence's innermost operand,
+    which is never a sequence, and the ``_Cell`` list of the operands
+    after it; an interleaving's shape and the tuple of its leaves, the
+    points of its operands that are not interleavings, in order.
+    ``moves`` is None until derived, and always for an interleaving.
+    ``table`` is the promise table of the model whose engine made the
+    point, which numbers the bits of the states the point is paired with;
+    it stands for the engine without referring to it: the engine's tables
+    refer to every point, and a cycle would keep a model's tables alive
+    until a garbage collection."""
 
     __slots__ = ("op", "parts", "terminates", "table", "moves", "_term")
 
@@ -679,7 +710,8 @@ class _Point:
         return str(_term_of(self))
 
     def sources(self) -> list["_Point"]:
-        """The points whose moves this point's moves are made of."""
+        """The points whose moves this point's moves are made of: an
+        interleaving among them stands for its leaves."""
         op = self.op
         if op is Seq:
             first, cell = self.parts
@@ -687,10 +719,18 @@ class _Point:
             while cell is not None and found[-1].terminates:
                 found.append(cell.first)
                 cell = cell.rest
-            return found
-        if op is Guard:
-            return [self.parts[1]]
-        return list(self.parts) if op is Alt or op is Par else []
+        elif op is Guard:
+            found = [self.parts[1]]
+        elif op is Alt:
+            found = list(self.parts)
+        elif op is Par:
+            return list(self.parts[1])
+        else:
+            return []
+        for point in found:
+            if point.op is Par:
+                return [leaf for point in found for leaf in (point.parts[1] if point.op is Par else (point,))]
+        return found
 
 
 class _Cell:
@@ -707,13 +747,15 @@ class _Cell:
 
 class _Engine:
     """The terms stepped under one model, as control points. ``points``
-    hash-conses them by class and operands, and ``cells`` the operand
-    lists; ``table`` is the model's promise table. The tables live on the
-    model (see ``_locate``)."""
+    hash-conses them by class and operands, and an interleaving by its
+    shape and leaves; ``cells`` hash-conses the operand lists, and
+    ``shapes`` the shapes. ``table`` is the model's promise table. The
+    tables live on the model (see ``_locate``)."""
 
     def __init__(self, table: _Table):
         self.points: dict[tuple, _Point] = {}
         self.cells: dict[tuple, _Cell] = {}
+        self.shapes: dict[tuple, tuple] = {}
         self.table = table
         self.done = _Point(Done, (), True, self.table, [], DONE)
         self.deadlock = _Point(Deadlock, (), False, self.table, [], DEADLOCK)
@@ -746,6 +788,9 @@ class _Engine:
             for operand in reversed(operands[1:]):
                 rest = self._cell(operand, rest)
             point = self._seq(operands[0], rest)
+        elif cls is Par:
+            shape = _flatten(term)[1]
+            point = self._vector(self.shapes.setdefault(shape, shape), tuple(operands))
         elif cls is Done:
             point = self.done
         elif cls is Deadlock:
@@ -756,28 +801,46 @@ class _Engine:
             if point is None:
                 moves = None if model is None else [(None, self._firing(model, term.event), self.done)]
                 point = self.points[key] = _Point(Act, (term.event,), False, self.table, moves)
-        elif cls is Guard:
-            point = self._intern(Guard, term.condition, operands[0])
         else:
-            point = self._intern(cls, *operands)
+            point = self._intern(cls, term.condition if cls is Guard else operands[0], operands[-1])
         if point._term is None:
             point._term = term
         return point
 
     def _intern(self, op, left, right) -> _Point:
-        """The point of a choice, interleaving or guard. A guard never
-        terminates by itself, a choice when either side does."""
+        """The point of a choice or guard. A guard never terminates by
+        itself, a choice when either side does."""
         key = (op, left, right)
         point = self.points.get(key)
         if point is None:
-            if op is Guard:
-                terminates = False
-            elif op is Alt:
-                terminates = left.terminates or right.terminates
-            else:
-                terminates = left.terminates and right.terminates
+            terminates = op is Alt and (left.terminates or right.terminates)
             point = self.points[key] = _Point(op, (left, right), terminates, self.table)
         return point
+
+    def _vector(self, shape: tuple, leaves: tuple) -> _Point:
+        """The point of the interleaving of ``leaves`` nested as ``shape``,
+        which terminates when every leaf does."""
+        key = (shape, leaves)
+        point = self.points.get(key)
+        if point is None:
+            terminates = all(leaf.terminates for leaf in leaves)
+            point = self.points[key] = _Point(Par, key, terminates, self.table)
+        return point
+
+    def replace(self, point: _Point, slot: int, successor: _Point) -> _Point:
+        """The interleaving ``point`` with the leaf at ``slot`` replaced by
+        ``successor``. An interleaving's leaves and shape take the slot's
+        place, and the joins that closed after the slot close after its
+        last leaf."""
+        shape, leaves = point.parts
+        if successor.op is Par:
+            inner, spliced = successor.parts
+            shape = shape[:slot] + inner[:-1] + (inner[-1] + shape[slot],) + shape[slot + 1 :]
+            shape = self.shapes.setdefault(shape, shape)
+        else:
+            spliced = (successor,)
+        key = (shape, leaves[:slot] + spliced + leaves[slot + 1 :])
+        return self.points.get(key) or self._vector(*key)
 
     def _cell(self, first: _Point, rest: _Cell | None) -> _Cell:
         key = (first, rest)
@@ -830,8 +893,9 @@ class _Engine:
         return event, 1 << number, number, needed, event.__class__ is WithdrawEvent
 
     def derive(self, model: PromiseModel, point: _Point) -> list:
-        """The point's symbolic moves, deriving those of the points they
-        are made of first; waiting points are on a stack."""
+        """The moves of a point that is not an interleaving, deriving those
+        of the points they are made of first; waiting points are on a
+        stack."""
         pending = [point]
         while pending:
             node = pending[-1]
@@ -846,42 +910,51 @@ class _Engine:
             node.moves = self._moves(model, node)
         return point.moves
 
+    def _moves_of(self, point: _Point) -> list:
+        """A derived point's moves; an interleaving's are made from its
+        leaves' at each call."""
+        if point.op is not Par:
+            return point.moves
+        replace = self.replace
+        return [
+            (test, action, replace(point, slot, successor))
+            for slot, leaf in enumerate(point.parts[1])
+            for test, action, successor in leaf.moves
+        ]
+
     def _moves(self, model: PromiseModel, point: _Point) -> list:
         op = point.op
+        moves_of = self._moves_of
         if op is Alt:
             left, right = point.parts
-            return left.moves if left is right else left.moves + right.moves
+            return moves_of(left) if left is right else moves_of(left) + moves_of(right)
         if op is Guard:
             condition, body = point.parts
             test = _compile(model, self.table, condition, {})
             if not (test[1] or test[3]):  # a constant
-                return body.moves if test[0] else []
+                return moves_of(body) if test[0] else []
             moves = []
-            for inner, action, successor in body.moves:
+            for inner, action, successor in moves_of(body):
                 both = _conjoin(test, inner)
                 if both[1] or both[3]:  # else a leaf met its negation
                     moves.append((both, action, successor))
             return moves
-        if op is Par:
-            left, right = point.parts
-            intern = self._intern
-            return [(test, action, intern(Par, successor, right)) for test, action, successor in left.moves] + [
-                (test, action, intern(Par, left, successor)) for test, action, successor in right.moves
-            ]
         # a sequence: the innermost operand moves in place; once it can
         # terminate, the next operand moves and the chain drops a place
         first, rest = point.parts
         seq = self._seq
-        moves = [(test, action, seq(successor, rest)) for test, action, successor in first.moves]
+        moves = [(test, action, seq(successor, rest)) for test, action, successor in moves_of(first)]
         while first.terminates and rest is not None:
             first, rest = rest.first, rest.rest
-            moves += [(test, action, seq(successor, rest)) for test, action, successor in first.moves]
+            moves += [(test, action, seq(successor, rest)) for test, action, successor in moves_of(first)]
         return moves
 
 
 def _operands(term: ProcessTerm) -> list:
     """The subterms a term's point is made of: a sequence's whole left
-    chain, innermost first, for a sequence."""
+    chain, innermost first, for a sequence; the operands of an
+    interleaving's ``||`` tree that are not interleavings, in order, for
+    an interleaving."""
     cls = term.__class__
     if cls is Seq:
         chain = []
@@ -891,7 +964,9 @@ def _operands(term: ProcessTerm) -> list:
         chain.append(term)
         chain.reverse()
         return chain
-    if cls is Alt or cls is Par:
+    if cls is Par:
+        return _flatten(term)[0]
+    if cls is Alt:
         return [term.left, term.right]
     if cls is Guard:
         return [term.body]
@@ -938,7 +1013,7 @@ def _term_of(point: _Point) -> ProcessTerm:
             pending.pop()
             continue
         if node.op is Par:
-            parts = list(node.parts)
+            parts = node.parts[1]
         else:
             first, cell = node.parts
             parts = [first]
@@ -950,11 +1025,40 @@ def _term_of(point: _Point) -> ProcessTerm:
             pending += missing
             continue
         pending.pop()
-        term = parts[0]._term
-        for part in parts[1:]:
-            term = node.op(term, part._term)
-        node._term = term
+        shape = node.parts[0] if node.op is Par else (0,) + (1,) * (len(parts) - 1)  # a left chain
+        node._term = _nested(node.op, shape, [part._term for part in parts])
     return point._term
+
+
+def _flatten(term: Par) -> tuple[list, tuple[int, ...]]:
+    """The operands of an interleaving's ``||`` tree that are not
+    interleavings, in order, and its shape: the number of joins that close
+    after each of them, as in postfix notation. Each join waits on a stack
+    (as None) for its two sides."""
+    leaves, shape, pending = [], [], [term]
+    while pending:
+        node = pending.pop()
+        if node is None:
+            shape[-1] += 1
+        elif node.__class__ is Par:
+            pending += (None, node.right, node.left)
+        else:
+            leaves.append(node)
+            shape.append(0)
+    return leaves, tuple(shape)
+
+
+def _nested(op, shape: tuple[int, ...], terms: list) -> ProcessTerm:
+    """``terms`` joined by the binary operator ``op`` as ``shape`` nests
+    them: after each term, the number of joins that close (see
+    ``_flatten``)."""
+    built: list = []
+    for term, joins in zip(terms, shape):
+        built.append(term)
+        for _ in range(joins):
+            right = built.pop()
+            built[-1] = op(built[-1], right)
+    return built[0]
 
 
 class InvalidBody(ValueError):

@@ -40,6 +40,10 @@ SCENARIOS = (
     # one event into several configurations, and a prefix that ends both
     # successful and deadlocked, which verify-trace reports as successful
     (f"{GOLDEN}/nondeterministic.promise", f"{GOLDEN}/nondeterministic_trace.txt", SEEDS),
+    # three protocols interleaved at the top level, whose declines step into
+    # nested interleavings: `explore` hits the trace limit, and each seed's
+    # walk picks among the interleaved moves; replays its seed-0 walk
+    (f"{GOLDEN}/offers3.promise", f"{GOLDEN}/offers3_walk.txt", SEEDS),
 )
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from promisekit import process_algebra
-from promisekit.dsl import parse_scenario
+from promisekit.dsl import parse_scenario, parse_term
 from promisekit.process_algebra import (
     Act,
     AgentVar,
@@ -43,12 +43,12 @@ from promisekit.process_algebra import (
     make_protocol,
     step,
 )
-from promisekit.explorer import build_lts, transitions
+from promisekit.explorer import build_lts, maximal_traces, transitions
 from promisekit.promise_state import EMPTY_STATE, Promise, PromiseModel, State, introduce
 from promisekit.task_algebra import GAMMA, all_bodies
 
 from scenario_gen import _random_condition, _random_term
-from sos_oracle import _eval, _finished, _moves
+from sos_oracle import _eval, _finished, _moves, explorer_trace_set, oracle_traces
 
 
 def accept_guard(model, initiator):
@@ -284,12 +284,35 @@ PROMISES = st.builds(Promise, AGENTS, BODIES, AGENTS)
 # from them go several steps deep
 INTRODUCTIONS = st.builds(Act, st.builds(IntroduceEvent, AGENTS, BODIES, AGENTS))
 WALK_LEAVES = st.one_of(INTRODUCTIONS, INTRODUCTIONS, INTRODUCTIONS, LEAVES)
+
+
+def _left(terms):
+    """``terms`` interleaved, nested to the left, as parsed."""
+    return reduce(Par, terms)
+
+
+def _right(terms):
+    """``terms`` interleaved, nested to the right."""
+    return reduce(lambda right, left: Par(left, right), reversed(terms))
+
+
+def _interleavings(terms, most=6):
+    """Interleavings of 3 to ``most`` of ``terms``, nested either way."""
+    chains = st.lists(terms, min_size=3, max_size=most)
+    return st.one_of(chains.map(_left), chains.map(_right))
+
+
 WALK_TERMS = st.recursive(
-    st.one_of(WALK_LEAVES, st.lists(WALK_LEAVES, min_size=2, max_size=12).map(lambda terms: reduce(Seq, terms))),
+    st.one_of(
+        WALK_LEAVES,
+        st.lists(WALK_LEAVES, min_size=2, max_size=12).map(lambda terms: reduce(Seq, terms)),
+        _interleavings(WALK_LEAVES),
+    ),
     lambda terms: st.one_of(
         st.builds(Seq, terms, terms),
         st.builds(Alt, terms, terms),
         st.builds(Par, terms, terms),
+        _interleavings(terms, most=4),
         st.builds(Guard, st.one_of(st.just(TRUE), st.builds(Not, st.builds(HasPromise, AGENTS, BODIES, AGENTS))), terms),
         st.builds(Guard, CONDITIONS, terms),
     ),
@@ -382,6 +405,97 @@ class TestOracleAgreement:
                     assert config.terminates is _finished(config.term) is can_terminate(config.term)
                 reached += [successor for _, successor in transitions(models[0], config)]
             level = reached
+
+
+# the leaves of an interleaving, among them sequences that step into an
+# interleaving, whose leaves then take their slot
+SPLITTING = st.builds(lambda first, left, right: Seq(first, Par(left, right)), INTRODUCTIONS, WALK_LEAVES, WALK_LEAVES)
+VECTOR_LEAVES = st.one_of(INTRODUCTIONS, INTRODUCTIONS, LEAVES, SPLITTING)
+VECTORS = _interleavings(VECTOR_LEAVES)
+# an interleaving at the top and under each other operator, small enough
+# for the oracle to list every path
+NESTED_VECTORS = st.one_of(
+    VECTORS,
+    st.builds(Seq, WALK_LEAVES, VECTORS),
+    st.builds(Seq, VECTORS, WALK_LEAVES),
+    st.builds(Alt, WALK_LEAVES, VECTORS),
+    st.builds(Alt, VECTORS, WALK_LEAVES),
+    st.builds(Guard, CONDITIONS, VECTORS),
+).filter(lambda term: sum(map(str(term).count, ("pi(", "pw("))) <= 7)
+
+VECTOR_MODEL = PromiseModel.create(
+    agents=("a", "b", "c"),
+    types=("t",),
+    atoms={"x": "t", "y": "t", "z": "t"},
+    incompatible_pairs=[("x", "y")],
+    exclusive=("~x",),
+)
+# interleavings that a step reaches under each operator, and that reach
+# further interleavings: chains of 3 to 6 leaves nested to the left, as
+# parsed, or the right, and leaves that step into an interleaving
+VECTOR_TEXTS = [
+    "pi(a, x, b) . (pi(a, y, b) || pi(b, x, a) || pi(a, z, b))",
+    "(pi(a, x, b) || pi(a, y, b) || pi(a, z, b)) . pi(b, x, a)",
+    "pi(a, x, b) + (pi(a, y, b) || pi(b, y, a) || pi(a, z, b))",
+    "[not p(a, x, b)] -> (pi(a, y, b) || pi(b, y, a) || pi(a, z, b)) . pw(a, y, b)",
+    "pi(a, x, b) || pi(a, y, b) . (pw(a, y, b) || pi(b, z, a)) || pi(a, z, b)",
+    "(pi(a, x, b) || pi(a, y, b)) || (pi(a, z, b) || pi(b, x, a) . (pi(c, x, a) || pi(c, y, a) || ok))",
+    "pi(c, z, a) . (pi(a, x, b) . (pi(b, x, a) || pi(c, x, b)) || pi(a, z, b) + pi(b, z, a) || delta)",
+    *(
+        nest([f"pi({a}, {x}, {b})" for a, b, x in ("abx", "bay", "caz", "acy", "bcz", "cbx")[:count]])
+        for count in (3, 4, 5, 6)
+        for nest in (" || ".join, lambda texts: " || (".join(texts) + ")" * (len(texts) - 1))
+    ),
+]
+
+
+def _oracle_step(model, config):
+    """The oracle's transitions of a configuration, as ``step`` gives
+    them: its successor terms are built by the rules, so that a successor
+    of another shape compares unequal."""
+    return {
+        (event, Configuration(successor, State(after)))
+        for event, successor, after in _moves(model, config.term, config.state.promises)
+    }
+
+
+class TestInterleavings:
+    """An interleaving is one control point for its whole ``||`` tree:
+    stepping one leaf replaces its slot, and a leaf that steps into an
+    interleaving is spliced in. The point is the same however the term
+    was made, and the traces are the oracle's."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("text", VECTOR_TEXTS)
+    def test_a_reached_configuration_equals_its_term_compiled(self, text, strict):
+        model = replace(VECTOR_MODEL, strict_conflicts=strict)
+        lts = build_lts(model, Configuration(parse_term(text, model), EMPTY_STATE))
+        assert len(lts.nodes) > 3
+        for reached in lts.nodes[1:]:
+            for term in (reached.term, parse_term(str(reached.term), model)):
+                made = Configuration(term, reached.state)
+                assert step(model, made) == step(model, reached) == _oracle_step(model, reached)
+                assert made == reached and hash(made) == hash(reached)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("text", VECTOR_TEXTS)
+    def test_traces_match_the_oracle(self, text, strict):
+        model = replace(VECTOR_MODEL, strict_conflicts=strict)
+        term = parse_term(text, model)
+        traces = maximal_traces(build_lts(model, Configuration(term, EMPTY_STATE)))
+        assert explorer_trace_set(traces) == oracle_traces(model, term, EMPTY_STATE)
+
+    @settings(max_examples=100, deadline=None)
+    @given(NESTED_VECTORS, st.frozensets(PROMISES, max_size=3), st.booleans())
+    def test_generated_interleavings_match_the_oracle(self, term, held, strict):
+        model = replace(ORACLE_MODEL, strict_conflicts=strict)
+        lts = build_lts(model, Configuration(term, State(held)))
+        assert explorer_trace_set(maximal_traces(lts)) == oracle_traces(model, term, State(held))
+        for reached in lts.nodes[1:]:
+            made = Configuration(reached.term, reached.state)
+            assert step(model, made) == step(model, reached) == _oracle_step(model, reached)
+            assert made == reached and hash(made) == hash(reached)
+            assert made.terminates is reached.terminates is _finished(reached.term)
 
 
 NESTING = (Act, Seq, Alt, Par, Guard, Not, And, Or, Implies, ForAllAgents)
