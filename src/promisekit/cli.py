@@ -208,7 +208,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     violations = check_invariants(scenario.model, lts)
     deadlocks = find_deadlocks(lts)
     edges = sum(map(len, lts._successors))  # without making the (source, event, target) triples
-    texts = lts._texts  # the build rendered every event once
+    texts = scenario.model._engine.texts  # the build ranked, and so rendered, every event once
 
     if args.format == "json":
         _print_json(
@@ -249,10 +249,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     current = Configuration(scenario.entry, scenario.initial_state)
     events = []
-    texts = _Renderings()  # one walk renders each event once
-    while moves := transitions(scenario.model, current, texts):
+    while moves := transitions(scenario.model, current):
         event, current = rng.choice(moves)
         events.append(event)
+    texts = _Renderings(scenario.model._engine.texts)  # those the walk ranked, and so rendered, once
     outcome = final_outcome(current)
 
     if args.format == "json":

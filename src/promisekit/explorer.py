@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .process_algebra import (
@@ -61,62 +62,45 @@ class LimitExceeded(Exception):
 
 class _Renderings(dict):
     """Each key's ``str``, computed at its first lookup: events, control
-    points, and states by (promise table, bits). ``events`` holds the
-    events' texts again, by ``id``, so that ordering moves hashes no event
-    (see ``_ordered``); ``held`` keeps those events alive, so that no other
-    object takes an id there."""
-
-    __slots__ = ("events", "held")
-
-    def __init__(self):
-        super().__init__()
-        self.events: dict[int, str] = {}
-        self.held: list[Event] = []
+    points, and states by (promise table, bits). A walk's report starts
+    from the event texts that its model's engine rendered to rank them
+    (see ``_Engine.rank``), so that it renders no event again."""
 
     def __missing__(self, item) -> str:
-        if item.__class__ is tuple:
-            text = self[item] = str(item[0].state(item[1]))
-        else:
-            text = self[item] = str(item)
+        text = self[item] = str(item[0].state(item[1]) if item.__class__ is tuple else item)
         return text
 
 
-def transitions(
-    model: PromiseModel, config: Configuration, texts: _Renderings | None = None
-) -> list[tuple[Event, Configuration]]:
+def transitions(model: PromiseModel, config: Configuration) -> list[tuple[Event, Configuration]]:
     """The one-step transitions of a configuration in the order every
-    report uses: by rendered event, then successor term, then state. An
-    exploration keeps ``texts`` for all its calls, so that no event, term
-    or state is rendered twice."""
-    moves = _ordered(model, _locate(model, config), texts)
-    return [(event, _configuration(*after)) for event, after in moves]
+    report uses: by rendered event, then successor term, then state."""
+    moves = _ordered(model, _locate(model, config))
+    return [(event, _configuration(*after)) for _, event, after in moves]
 
 
-def _ordered(
-    model: PromiseModel, node: tuple[_Point, int], texts: _Renderings | None
-) -> list[tuple[Event, tuple[_Point, int]]]:
+def _ordered(model: PromiseModel, node: tuple[_Point, int], texts: _Renderings | None = None) -> list[tuple]:
     """``transitions`` of a (control point, bits) node, in the form
-    ``step`` gives for a node, each transition once."""
+    ``step`` gives for a node, each transition once: by event rank (see
+    ``_Engine.rank``), and only on a tie, equal text, by rendered successor."""
     moves = step(model, node)
     if len(moves) > 1:
-        texts = _Renderings() if texts is None else texts
-        by_id = texts.events
-        keys = [by_id.get(id(event)) for event, _ in moves]
-        if None in keys:
-            for event, _ in moves:
-                if id(event) not in by_id:
-                    by_id[id(event)] = texts[event]
-                    texts.held.append(event)
-            keys = [by_id[id(event)] for event, _ in moves]
-        by_text = dict(zip(keys, moves))
-        if len(by_text) == len(moves):
-            # distinct events decide the order: no successor is rendered
-            return [by_text[key] for key in sorted(by_text)]
+        if not model._engine.ranked:  # the first order asked of events not yet ranked
+            model._engine.rank()
+            moves = step(model, node)
+        moves.sort(key=itemgetter(0))
+        rank = None
+        for move in moves:
+            if move[0] == rank:
+                break
+            rank = move[0]
+        else:  # distinct events decide the order: no successor is rendered
+            return moves
         # two moves are one transition when they have one event and one
         # successor; equal events share their action point, so are one object
-        moves = list({(id(event), after): (event, after) for event, after in moves}.values())
+        moves = list({(id(move[1]), move[2]): move for move in moves}.values())
+        texts = _Renderings() if texts is None else texts
         table = node[0].table
-        moves.sort(key=lambda move: (by_id[id(move[0])], texts[move[1][0]], texts[table, move[1][1]]))
+        moves.sort(key=lambda move: (move[0], texts[move[2][0]], texts[table, move[2][1]]))
     return moves
 
 
@@ -129,8 +113,7 @@ class Lts:
     transitions as (event id, node id), sorted by rendered event, then
     successor; an event's id is its place in ``_events``, which are in
     rendered order, so that ids sort as reports do. ``edges`` are made from
-    these at their first read. ``_texts`` keeps the renderings the build
-    made, so that a report renders no event again.
+    these at their first read.
     """
 
     def __init__(
@@ -139,13 +122,11 @@ class Lts:
         successors: list[list[tuple[int, int]]],
         events: list[Event],
         expanded: int,
-        texts: _Renderings | None = None,
     ):
         self.nodes = tuple(configs[:expanded])
         self._configs = configs
         self._successors = successors
         self._events = events
-        self._texts = _Renderings() if texts is None else texts
 
     @cached_property
     def edges(self) -> tuple[tuple[Configuration, Event, Configuration], ...]:
@@ -166,12 +147,11 @@ def build_lts(
 
     A configuration gets its id when the search first reaches it, keyed by
     its control point and the bits of its state, and is one object: every
-    edge leads to the instance in ``nodes``. An event gets its id the
-    first time it labels a transition, keyed by identity, since a model's
-    engine makes equal events one object; one permutation at the end puts
-    the events in rendered order. Raises LimitExceeded (with the partial
-    system attached) when more than ``node_limit`` configurations are
-    reachable; its ``nodes`` are the first ``node_limit``.
+    edge leads to the instance in ``nodes``. An event's id is its rank
+    (see ``_Engine.rank``), closed up when some ranked event labels no
+    transition here. Raises LimitExceeded (with the partial system
+    attached) when more than ``node_limit`` configurations are reachable;
+    its ``nodes`` are the first ``node_limit``.
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
@@ -179,28 +159,28 @@ def build_lts(
     ids = {start: 0}  # each (control point, bits) reached, to its id
     nodes = [start]  # by id, and the queue: the search expands them in order
     successors: list[list[tuple[int, int]]] = []
-    events: list[Event] = []  # in the order first met
-    seen_events: dict[int, int] = {}  # each event's id, by id(event)
+    labels: dict[int, Event] = {}  # the event of each rank that labels a transition
     texts = _Renderings()
+    if not model._engine.ranked:  # the ids are ranks
+        model._engine.rank()
     for node in nodes:
         if len(successors) == node_limit:
             break
         moves = []
-        for event, key in _ordered(model, node, texts):
+        for rank, event, key in _ordered(model, node, texts):
             target = ids.setdefault(key, len(nodes))
             if target == len(nodes):
                 nodes.append(key)
-            number = seen_events.setdefault(id(event), len(events))
-            if number == len(events):
-                events.append(event)
-            moves.append((number, target))
+            labels[rank] = event
+            moves.append((rank, target))
         successors.append(moves)
     configs = [initial] + [_configuration(*key) for key in nodes[1:]]
     successors += [[] for _ in range(len(configs) - len(successors))]  # ends past the limit
-    order = sorted(range(len(events)), key=lambda number: texts[events[number]])
-    rank = {old: new for new, old in enumerate(order)}
-    successors = [[(rank[event], target) for event, target in moves] for moves in successors]
-    lts = Lts(configs, successors, [events[old] for old in order], node_limit, texts)
+    ranks = sorted(labels)
+    if ranks and ranks[-1] >= len(ranks):  # some rank labels nothing here: close up the ids
+        number = {rank: place for place, rank in enumerate(ranks)}
+        successors = [[(number[rank], target) for rank, target in moves] for moves in successors]
+    lts = Lts(configs, successors, [labels[rank] for rank in ranks], node_limit)
     if len(configs) > node_limit:
         raise LimitExceeded("node", node_limit, partial=lts)
     return lts
@@ -232,15 +212,16 @@ def final_outcome(config: Configuration) -> Outcome:
 
 def _after(nodes, successors, outcome) -> tuple[dict, set[Outcome]]:
     """One step of the subset construction: each event that ``successors``
-    gives any of ``nodes``, with every node it leads to, and the
-    ``outcome`` of each of ``nodes`` that has no transition."""
+    gives any of ``nodes``, with every node it leads to, and the ``outcome``
+    of each of ``nodes`` that has no transition. A move ends in (event, target)."""
     targets: dict = {}
     ends: set[Outcome] = set()
     for node in nodes:
         moves = successors(node)
         if not moves:
             ends.add(outcome(node))
-        for event, target in moves:
+        for move in moves:
+            event, target = move[-2], move[-1]
             found = targets.get(event)
             if found is None:
                 targets[event] = {target}

@@ -610,11 +610,11 @@ def step(
     made into a successor by replacing the leaf's slot.
 
     The explorer passes a node instead: a (control point of the model's
-    engine, bits of a state) pair. It gets a list of (event, successor
-    node), where two moves may make one transition (see
-    ``explorer._ordered``), and no configuration is made. An introduction
-    is enabled when the bits miss its promise's clash mask, a withdrawal
-    when they hold its promise."""
+    engine, bits of a state) pair. It gets a list of (event rank, event,
+    successor node) (see ``_Engine.rank``), where two moves may make one
+    transition (see ``explorer._ordered``), and no configuration is made.
+    An introduction is enabled when the bits miss its promise's clash
+    mask, a withdrawal when they hold its promise."""
     node = config.__class__ is tuple
     point, bits = config if node else _locate(model, config)
     engine = model._engine
@@ -628,7 +628,7 @@ def step(
     found = []
     for slot, leaf in enumerate(leaves):
         moves = leaf.moves if leaf.moves is not None else engine.derive(model, leaf)
-        for test, (event, flag, number, needed, withdraws), successor in moves:
+        for test, (event, flag, number, needed, withdraws, rank), successor in moves:
             if test is not None and not _passes(test, bits):
                 continue
             if withdraws:
@@ -648,9 +648,9 @@ def step(
                     key = (shape, tuple(row))
                     row[slot] = leaf
                     successor = points.get(key) or engine._vector(*key)
-            found.append((event, (successor, after)))
+            found.append((rank, event, (successor, after)))
     if not node:
-        return {(event, _configuration(*after)) for event, after in found}
+        return {(event, _configuration(*after)) for _, event, after in found}
     return found
 
 
@@ -750,7 +750,8 @@ class _Engine:
     hash-conses them by class and operands, and an interleaving by its
     shape and leaves; ``cells`` hash-conses the operand lists, and
     ``shapes`` the shapes. ``table`` is the model's promise table. The
-    tables live on the model (see ``_locate``)."""
+    tables live on the model (see ``_locate``). ``texts`` renders the
+    events ranked so far; ``ranked`` is false while one is not."""
 
     def __init__(self, table: _Table):
         self.points: dict[tuple, _Point] = {}
@@ -759,6 +760,8 @@ class _Engine:
         self.table = table
         self.done = _Point(Done, (), True, self.table, [], DONE)
         self.deadlock = _Point(Deadlock, (), False, self.table, [], DEADLOCK)
+        self.texts: dict[Event, str] = {}
+        self.ranked = True
 
     def compile(self, model: PromiseModel | None, term: ProcessTerm) -> _Point:
         """The point of a term: each distinct subterm object is visited
@@ -801,6 +804,7 @@ class _Engine:
             if point is None:
                 moves = None if model is None else [(None, self._firing(model, term.event), self.done)]
                 point = self.points[key] = _Point(Act, (term.event,), False, self.table, moves)
+                self.ranked = False
         else:
             point = self._intern(cls, term.condition if cls is Guard else operands[0], operands[-1])
         if point._term is None:
@@ -878,7 +882,7 @@ class _Engine:
         """What an action needs to fire, fixed once: (event, the flag of
         the bit of the promise it introduces or withdraws, that bit's
         number, the flag the state must hold first or 0, whether it
-        withdraws)."""
+        withdraws, its rank, None until ``rank``)."""
         table = self.table
         needed = 0
         if isinstance(event, GeneralizedIntroduceEvent):
@@ -890,7 +894,20 @@ class _Engine:
         else:
             raise TypeError(f"not an event: {event!r}")
         number = table.number(model, promise)
-        return event, 1 << number, number, needed, event.__class__ is WithdrawEvent
+        return event, 1 << number, number, needed, event.__class__ is WithdrawEvent, None
+
+    def rank(self) -> None:
+        """Rank the events of all action points in one sort of their texts,
+        equal texts alike and ranks dense, into each one's action: when the
+        explorer first orders moves, so that a replay renders none, and again once
+        a compile (``_locate``) adds an action point, dropping the derived moves."""
+        texts, acts = self.texts, [point for point in self.points.values() if point.op is Act]
+        texts.update((act.parts[0], str(act.parts[0])) for act in acts[len(texts) :])  # acts in the order made
+        ranks = {text: rank for rank, text in enumerate(sorted(set(texts.values())))}
+        for point in self.points.values():
+            action = point.moves[0][1] if point.op is Act else None
+            point.moves = None if action is None else [(None, action[:-1] + (ranks[texts[action[0]]],), self.done)]
+        self.ranked = True
 
     def derive(self, model: PromiseModel, point: _Point) -> list:
         """The moves of a point that is not an interleaving, deriving those

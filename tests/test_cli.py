@@ -300,10 +300,9 @@ class TestFixedCostsPaidOnce:
         for argv, alone, after in zip(calls, first, shared):
             assert after == alone, argv
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_explore_renders_each_event_once(self, tmp_path, monkeypatch, fmt):
-        scenario = tmp_path / "offers.promise"
-        scenario.write_text(offers(2), encoding="utf-8")
+    @pytest.fixture
+    def renders(self, monkeypatch) -> dict:
+        """How often each event is rendered, from here on."""
         renders: dict = {}
         for cls in (IntroduceEvent, WithdrawEvent, GeneralizedIntroduceEvent):
 
@@ -312,9 +311,31 @@ class TestFixedCostsPaidOnce:
                 return render(event)
 
             monkeypatch.setattr(cls, "__str__", counting)
+        return renders
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_explore_renders_each_event_once(self, tmp_path, renders, fmt):
+        scenario = tmp_path / "offers.promise"
+        scenario.write_text(offers(2), encoding="utf-8")
         code, out, _ = run_cli(["explore", str(scenario), "--format", fmt])
         assert code == 0 and out.count("pi(o0, lift, c)") == 340  # in every trace
         assert len(renders) == 10 and set(renders.values()) == {1}  # five events per offer
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_walk_renders_each_event_once_and_its_replay_none(self, tmp_path, renders, fmt):
+        # a walk orders moves, so its model's engine ranks, and renders,
+        # every event once; a replay orders none and renders no event
+        scenario, walk = tmp_path / "offers.promise", tmp_path / "walk.txt"
+        scenario.write_text(offers(2), encoding="utf-8")
+        code, out, _ = run_cli(["run", str(scenario), "--seed", "3", "--format", fmt])
+        events = json.loads(out)["events"] if fmt == "json" else out.splitlines()[:-2]
+        assert code == 0 and events
+        assert set(renders.values()) == {1}
+        assert set(map(str, renders)) >= set(events)  # read last: it renders them again
+        renders.clear()
+        walk.write_text("\n".join(events) + "\n", encoding="utf-8")
+        code, out, _ = run_cli(["verify-trace", str(scenario), "--trace", str(walk), "--format", fmt])
+        assert code == 0 and ("accepted" in out) and renders == {}
 
 
 class TestLongSequences:

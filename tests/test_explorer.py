@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from promisekit import explorer, promise_state
+from promisekit import cli, explorer, promise_state
 from promisekit.corpus import corpus_text
-from promisekit.dsl import parse_scenario, parse_trace
+from promisekit.dsl import parse_scenario, parse_term, parse_trace
 from promisekit.explorer import (
     Accepted,
     LimitExceeded,
@@ -29,6 +29,7 @@ from promisekit.explorer import (
     final_outcome,
     find_deadlocks,
     maximal_traces,
+    transitions,
     verify_trace,
 )
 from promisekit.process_algebra import (
@@ -208,12 +209,54 @@ class TestBuildLts:
         [*CANONICAL_CASES, *(pytest.param(random_scenario_text(seed), id=f"random-{seed}") for seed in range(12))],
     )
     def test_events_are_numbered_once_in_rendered_order(self, text):
-        # the build numbers events by identity as it meets them, then sorts
-        # them: equal events must be one object, and ids must sort as
-        # reports do
+        # the build numbers events by their rank in the model's engine,
+        # closed up over the events that label a transition: ids must sort
+        # as reports do, one id per event
         scenario = parse_scenario(text)
         lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state), node_limit=5000)
         assert [str(event) for event in lts._events] == sorted({str(event) for _, event, _ in lts.edges})
+
+    @pytest.mark.parametrize("replay", ["step", "verify_trace"])
+    @pytest.mark.parametrize("strict", [False, True], ids=["dyadic", "strict"])
+    def test_a_later_compile_ranks_the_events_again(self, strict, replay, monkeypatch):
+        # a hand-made configuration stepped or replayed after a build adds
+        # events to the model's engine, here ones whose texts sort among the
+        # entry's; the next build must rank again and derive its moves anew,
+        # so that it equals a build on a fresh model, the entry's tied
+        # events (pi(a, x, b) into several successors) included
+        text = NONDETERMINISTIC.read_text(encoding="utf-8")
+        used, fresh = (parse_scenario(text, strict_conflicts=strict) for _ in range(2))
+        build_lts(used.model, Configuration(used.entry, used.initial_state))
+        term = parse_term("pi(a, y, b) . pi(b, x, a) + pi(c, !y, a)", used.model)
+        other = Configuration(term, used.initial_state)
+        if replay == "step":
+            assert len(step(used.model, other)) == 2
+        else:
+            events = parse_trace("pi(a, y, b)\npi(b, x, a)\n", used.model)
+            assert isinstance(verify_trace(used.model, other, events), Accepted)
+
+        lts, expected = (
+            build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state))
+            for scenario in (used, fresh)
+        )
+        assert lts.nodes == expected.nodes
+        assert [str(event) for event in lts._events] == [str(event) for event in expected._events]
+        assert lts._successors == expected._successors
+
+        def moves(scenario, nodes):
+            return [[(str(event), after) for event, after in transitions(scenario.model, node)] for node in nodes]
+
+        assert moves(used, lts.nodes) == moves(fresh, expected.nodes)
+        # the hand-made term's moves were derived before the ranks changed
+        alike = Configuration(parse_term(str(term), fresh.model), fresh.initial_state)
+        assert moves(used, [other]) == moves(fresh, [alike])
+        # and the whole report, through a call that reuses the model
+        path = str(NONDETERMINISTIC)
+        mode = ["--strict-conflicts"] if strict else []
+        report = run_cli(["explore", path, *mode])
+        monkeypatch.setattr(cli, "parse_scenario", lambda text, strict_conflicts: used)
+        step(used.model, Configuration(parse_term("pw(b, x, a)", used.model), used.initial_state))
+        assert run_cli(["explore", path, *mode]) == report
 
     @pytest.mark.parametrize(
         "text",

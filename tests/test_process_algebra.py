@@ -366,12 +366,8 @@ class TestOracleAgreement:
         found = transitions(model, config)
         assert set(found) == moves and len(found) == len(moves)
         assert [key(move) for move in found] == sorted(key(move) for move in moves)
-        # as an exploration calls it, with renderings kept between calls
-        from promisekit.explorer import _Renderings
-
-        texts = _Renderings()
-        assert transitions(model, config, texts) == found
-        assert transitions(model, config, texts) == found
+        # again, with the events ranked and the moves derived
+        assert transitions(model, config) == found
 
 
     @settings(max_examples=100, deadline=None)
