@@ -51,13 +51,13 @@ DEFAULT_TRACE_LIMIT = 10_000
 
 
 class LimitExceeded(Exception):
-    """Exploration hit a resource cap; ``partial`` holds what was built."""
+    """Exploration hit a resource cap; ``partial``, what was found, is made when first read."""
 
-    def __init__(self, what: str, limit: int, partial=None):
+    def __init__(self, what: str, limit: int, make_partial=lambda: None):
         super().__init__(f"{what} limit of {limit} exceeded")
-        self.what = what
-        self.limit = limit
-        self.partial = partial
+        self.what, self.limit, self._make_partial = what, limit, make_partial
+
+    partial = cached_property(lambda self: self._make_partial())
 
 
 class _Renderings(dict):
@@ -182,7 +182,7 @@ def build_lts(
         successors = [[(number[rank], target) for rank, target in moves] for moves in successors]
     lts = Lts(configs, successors, [labels[rank] for rank in ranks], node_limit)
     if len(configs) > node_limit:
-        raise LimitExceeded("node", node_limit, partial=lts)
+        raise LimitExceeded("node", node_limit, lambda: lts)
     return lts
 
 
@@ -242,12 +242,10 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     reaches, so the walk visits each distinct set once (Rabin & Scott's
     subset construction): the first prefix to reach a set lists the
     traces below it, and every later one replays that listing, already in
-    report order, under its own events.
+    report order, under its own events. The walk keeps only a count and pieces
+    (see ``_listing``): past the cap, no trace is made until ``partial`` is read.
     """
-    traces: list[Trace] = []
-    events = lts._events
-    successors = lts._successors.__getitem__
-    configs = lts._configs
+    events, successors, configs = lts._events, lts._successors.__getitem__, lts._configs
 
     def outcome(node: int) -> Outcome:
         return final_outcome(configs[node])
@@ -258,6 +256,7 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     # of its first trace and its prefix length; ``path`` is the prefix
     path: list[Event] = []
     frames: list[tuple] = []
+    pieces, count = [], 0  # what the walk lists (see ``_listing``), and how many traces
     # each set of nodes listed: the traces below it are traces[first:end],
     # listed under a prefix of length ``depth``
     listed: dict[frozenset[int], tuple[int, int, int]] = {}
@@ -266,16 +265,17 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
         found = listed.get(nodes)
         if found is None:
             targets, finals = _after(nodes, successors, outcome)
-            frames.append((iter(sorted(targets)), targets, nodes, len(traces), len(path)))
-            traces += [Trace(tuple(path), end) for end in sorted(finals, key=str)]
+            frames.append((iter(sorted(targets)), targets, nodes, count, len(path)))
+            if finals:
+                pieces.append((tuple(path), sorted(finals, key=str)[: max_traces + 1 - count]))
+                count += len(pieces[-1][1])
         else:
             first, end, depth = found
-            prefix = tuple(path)
-            end = min(end, first + max_traces + 1 - len(traces))  # none beyond the one past the cap
-            traces += [Trace(prefix + old.events[depth:], old.outcome) for old in traces[first:end]]
-        if len(traces) > max_traces:
-            del traces[max_traces + 1 :]
-            raise LimitExceeded("trace", max_traces, partial=traces)
+            end = min(end, first + max_traces + 1 - count)  # none beyond the one past the cap
+            pieces.append((tuple(path), first, end, depth))
+            count += end - first
+        if count > max_traces:
+            raise LimitExceeded("trace", max_traces, partial(_listing, pieces))
         while frames:  # on to the next event of the innermost set with one left
             children, targets, parent, first, depth = frames[-1]
             event = next(children, None)
@@ -285,9 +285,22 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
                 nodes = frozenset(targets[event])
                 break
             frames.pop()
-            listed[parent] = (first, len(traces), depth)
+            listed[parent] = (first, count, depth)
         else:
-            return traces
+            return _listing(pieces)
+
+
+def _listing(pieces: list[tuple]) -> list[Trace]:
+    """The traces of ``maximal_traces``'s pieces: (prefix, outcomes), one per outcome, and (prefix,
+    first, end, depth), ``traces[first:end]`` with their first ``depth`` events replaced by prefix."""
+    traces: list[Trace] = []
+    for piece in pieces:
+        if len(piece) == 2:
+            traces += [Trace(piece[0], end) for end in piece[1]]
+        else:
+            prefix, first, end, depth = piece
+            traces += [Trace(prefix + old.events[depth:], old.outcome) for old in traces[first:end]]
+    return traces
 
 
 @dataclass(frozen=True)
@@ -359,11 +372,13 @@ def check_invariants(model: PromiseModel, lts: Lts) -> list[Violation]:
     """Every pair of promises that clash (see ``promise_state.clash``) in
     every reachable state, under the model's conflict mode: a mask test
     per held promise that can clash at all. Expected empty for any system
-    reached through enabled speech acts."""
+    reached through enabled speech acts. Each distinct state is checked once."""
+    states = [_locate(model, node)[1] for node in lts.nodes]
+    clashes = {bits: _clashes(model, bits) for bits in set(states)}
     return [
         Violation(reason, node, f"{p} and {q}")
-        for node in lts.nodes
-        for reason, p, q in _clashes(model, _locate(model, node)[1])
+        for node, bits in zip(lts.nodes, states)
+        for reason, p, q in clashes[bits]
     ]
 
 

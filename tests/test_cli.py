@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from helpers import long_negotiation, offers, run_cli
 JUB = str(corpus_path("jub.promise"))
 LAWS = str(corpus_path("laws.promise"))
 TRACE = str(corpus_path("jub_trace.txt"))
+OFFERS3 = str(Path(__file__).parent / "golden" / "offers3.promise")
 
 SIX_EVENTS = [
     "pi(ja, tbc2JUB, ma)",
@@ -133,6 +135,16 @@ class TestExplore:
         code, _, err = run_cli(["explore", JUB, "--node-limit", "3"])
         assert code == 2
         assert "limit" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("mode", [[], ["--strict-conflicts"]], ids=["dyadic", "strict"])
+    def test_trace_cap_is_one_line_on_stderr(self, fmt, mode):
+        # 315,000 traces: the report is the diagnostic alone
+        argv = ["explore", OFFERS3, "--format", fmt, *mode]
+        assert run_cli(argv) == (2, "", "error: trace limit of 10000 exceeded\n")
+
+    def test_trace_cap_one_below_the_count(self):
+        assert run_cli(["explore", JUB, "--max-traces", "339"]) == (2, "", "error: trace limit of 339 exceeded\n")
 
     def test_explore_is_deterministic(self):
         first = run_cli(["explore", JUB])

@@ -7,12 +7,15 @@ recursive enumerator in sos_oracle.
 
 from __future__ import annotations
 
+import itertools
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from promisekit import cli, explorer, promise_state
 from promisekit.corpus import corpus_text
@@ -540,6 +543,44 @@ class TestMaximalTraces:
                 maximal_traces(lts, max_traces=cap)
             assert exc.value.partial == full[: cap + 1]
 
+    @settings(max_examples=40, deadline=None)
+    @given(start=st.integers(0, 100_000), strict=st.booleans(), data=st.data())
+    def test_any_cap_lists_the_first_traces_of_the_full_walk(self, start, strict, data):
+        # most generated scenarios have one trace: take the first seed from
+        # ``start`` on whose scenario has two or more
+        for seed in itertools.count(start):
+            scenario = parse_scenario(random_scenario_text(seed), strict_conflicts=strict)
+            lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state), node_limit=5000)
+            full = maximal_traces(lts, max_traces=50000)
+            if len(full) > 1:
+                break
+        cap = data.draw(st.integers(1, len(full) - 1), label="cap")
+        with pytest.raises(LimitExceeded) as exc:
+            maximal_traces(lts, max_traces=cap)
+        assert str(exc.value) == f"trace limit of {cap} exceeded"
+        assert exc.value.partial == full[: cap + 1]
+
+    def test_a_capped_walk_makes_no_trace_until_partial_is_read(self, monkeypatch):
+        # 315,000 traces: the walk only counts the first 10,001, and neither
+        # the walk nor the exception keeps the Lts
+        scenario = parse_scenario(offers(3))
+        lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state))
+        alive = weakref.ref(lts)
+        made = []
+        monkeypatch.setattr(explorer, "Trace", lambda *fields: made.append(fields) or Trace(*fields))
+        try:
+            maximal_traces(lts, max_traces=10_000)
+        except LimitExceeded as exc:
+            error = exc.with_traceback(None)  # a traceback holds the walk's frame, and so the Lts
+        else:
+            pytest.fail("no trace limit")
+        del lts
+        assert alive() is None  # freed by reference counting alone
+        assert made == []
+        partial = error.partial
+        assert len(partial) == len(made) == 10_001
+        assert error.partial is partial and len(made) == 10_001  # made once
+
     def test_enumeration_does_not_keep_the_lts_alive(self, ride):
         # freed by reference counting alone, without a garbage collection
         lts = build_lts(ride.model, Configuration(ride.entry, ride.initial_state))
@@ -570,8 +611,14 @@ class TestMaximalTraces:
             State(frozenset({Promise(event.promiser, GAMMA, promisee)})) for event in events
         ]
         nodes = [Configuration(DONE, state) for state in states]
-        traces = maximal_traces(_chain(nodes, events))
+        tracemalloc.start()
+        try:
+            traces = maximal_traces(_chain(nodes, events))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert traces == [Trace(tuple(events), Outcome.SUCCESSFUL)]
+        assert peak < 100_000_000  # the copies would hold 1.6 GB of references
 
     def test_every_trace_replays(self, ride, ride_lts, ride_traces):
         initial = Configuration(ride.entry, ride.initial_state)
