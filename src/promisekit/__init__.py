@@ -78,6 +78,7 @@ from .explorer import (
     check_invariants,
     find_deadlocks,
     maximal_traces,
+    transitions,
     verify_trace,
 )
 from .dsl import ParseError, Scenario, ValidationError, parse_scenario, parse_term, parse_trace, render

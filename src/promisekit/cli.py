@@ -25,7 +25,6 @@ from .explorer import (
     DEFAULT_TRACE_LIMIT,
     Accepted,
     LimitExceeded,
-    _Renderings,
     build_lts,
     check_invariants,
     final_outcome,
@@ -104,7 +103,7 @@ def _build_parser() -> _ArgumentParser:
 
 def _read(path: Path) -> str | None:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return None
@@ -252,7 +251,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     while moves := transitions(scenario.model, current):
         event, current = rng.choice(moves)
         events.append(event)
-    texts = _Renderings(scenario.model._engine.texts)  # those the walk ranked, and so rendered, once
+    texts = scenario.model._engine.texts  # renders each event once, and none the walk ranked
     outcome = final_outcome(current)
 
     if args.format == "json":

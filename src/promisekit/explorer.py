@@ -60,27 +60,16 @@ class LimitExceeded(Exception):
     partial = cached_property(lambda self: self._make_partial())
 
 
-class _Renderings(dict):
-    """Each key's ``str``, computed at its first lookup: events, control
-    points, and states by (promise table, bits). A walk's report starts
-    from the event texts that its model's engine rendered to rank them
-    (see ``_Engine.rank``), so that it renders no event again."""
-
-    def __missing__(self, item) -> str:
-        text = self[item] = str(item[0].state(item[1]) if item.__class__ is tuple else item)
-        return text
-
-
 def transitions(model: PromiseModel, config: Configuration) -> list[tuple[Event, Configuration]]:
-    """The one-step transitions of a configuration in the order every
-    report uses: by rendered event, then successor term, then state."""
+    """The configuration view of ``step``: a configuration's transitions,
+    each once, in report order: by rendered event, successor term, state."""
     moves = _ordered(model, _locate(model, config))
     return [(event, _configuration(*after)) for _, event, after in moves]
 
 
-def _ordered(model: PromiseModel, node: tuple[_Point, int], texts: _Renderings | None = None) -> list[tuple]:
+def _ordered(model: PromiseModel, node: tuple[_Point, int]) -> list[tuple]:
     """``transitions`` of a (control point, bits) node, in the form
-    ``step`` gives for a node, each transition once: by event rank (see
+    ``step`` gives, each transition once: by event rank (see
     ``_Engine.rank``), and only on a tie, equal text, by rendered successor."""
     moves = step(model, node)
     if len(moves) > 1:
@@ -98,22 +87,21 @@ def _ordered(model: PromiseModel, node: tuple[_Point, int], texts: _Renderings |
         # two moves are one transition when they have one event and one
         # successor; equal events share their action point, so are one object
         moves = list({(id(move[1]), move[2]): move for move in moves}.values())
-        texts = _Renderings() if texts is None else texts
-        table = node[0].table
-        moves.sort(key=lambda move: (move[0], texts[move[2][0]], texts[table, move[2][1]]))
+        texts = model._engine.texts
+        moves.sort(key=lambda move: (move[0], texts[move[2][0]], texts[move[2][1]]))
     return moves
 
 
 class Lts:
     """A fully explored transition system, numbered as ``build_lts`` found
-    it: a node's id is its place in ``_configs``, the configurations the
-    build reached, and ``nodes`` are the first ``expanded`` of them, in
-    breadth-first order. Later ones are the ends that a truncated build did
-    not expand, and have no transitions. ``_successors`` holds each one's
-    transitions as (event id, node id), sorted by rendered event, then
-    successor; an event's id is its place in ``_events``, which are in
-    rendered order, so that ids sort as reports do. ``edges`` are made from
-    these at their first read.
+    it: a node's id is its place in ``_configs``, made by the engine from
+    each node the build reached (see ``step``), and ``nodes`` are the first
+    ``expanded`` of them, in breadth-first order. Later ones are the ends
+    that a truncated build did not expand, and have no transitions.
+    ``_successors`` holds each one's transitions as (event id, node id),
+    sorted by rendered event, then successor; an event's id is its place in
+    ``_events``, which are in rendered order, so that ids sort as reports
+    do. ``edges`` are made from these at their first read.
     """
 
     def __init__(
@@ -147,11 +135,12 @@ def build_lts(
 
     A configuration gets its id when the search first reaches it, keyed by
     its control point and the bits of its state, and is one object: every
-    edge leads to the instance in ``nodes``. An event's id is its rank
-    (see ``_Engine.rank``), closed up when some ranked event labels no
-    transition here. Raises LimitExceeded (with the partial system
-    attached) when more than ``node_limit`` configurations are reachable;
-    its ``nodes`` are the first ``node_limit``.
+    edge leads to the instance in ``nodes``, the first too, which equals
+    ``initial``. An event's id is its rank (see ``_Engine.rank``), closed
+    up when some ranked event labels no transition here. Raises
+    LimitExceeded (with the partial system attached) when more than
+    ``node_limit`` configurations are reachable; its ``nodes`` are the
+    first ``node_limit``.
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
@@ -160,21 +149,20 @@ def build_lts(
     nodes = [start]  # by id, and the queue: the search expands them in order
     successors: list[list[tuple[int, int]]] = []
     labels: dict[int, Event] = {}  # the event of each rank that labels a transition
-    texts = _Renderings()
     if not model._engine.ranked:  # the ids are ranks
         model._engine.rank()
     for node in nodes:
         if len(successors) == node_limit:
             break
         moves = []
-        for rank, event, key in _ordered(model, node, texts):
+        for rank, event, key in _ordered(model, node):
             target = ids.setdefault(key, len(nodes))
             if target == len(nodes):
                 nodes.append(key)
             labels[rank] = event
             moves.append((rank, target))
         successors.append(moves)
-    configs = [initial] + [_configuration(*key) for key in nodes[1:]]
+    configs = [_configuration(*key) for key in nodes]
     successors += [[] for _ in range(len(configs) - len(successors))]  # ends past the limit
     ranks = sorted(labels)
     if ranks and ranks[-1] >= len(ranks):  # some rank labels nothing here: close up the ids

@@ -536,9 +536,7 @@ class Configuration:
     Configurations are equal when their terms and states are. One that
     the engine made holds its term as a control point of the model's
     engine (see ``_Engine``) and its state as bits in the model's promise
-    table, and builds the term and the ``State`` only when they are read;
-    two such configurations compare their points and bits, since a point
-    is one term and the bits one state."""
+    table, and builds the term and the ``State`` only when they are read."""
 
     __slots__ = ("_term", "_state", "_point", "_bits")
 
@@ -572,9 +570,6 @@ class Configuration:
     def __eq__(self, other) -> bool:
         if other.__class__ is not Configuration:
             return NotImplemented
-        mine, theirs = self._point, other._point
-        if mine is not None and theirs is not None and mine.table is theirs.table:
-            return mine is theirs and self._bits == other._bits
         return self.state == other.state and self.term == other.term
 
     def __hash__(self) -> int:
@@ -600,23 +595,16 @@ def can_terminate(term: ProcessTerm) -> bool:
     return _Engine(_Table()).compile(None, term).terminates
 
 
-def step(
-    model: PromiseModel, config: "Configuration | tuple[_Point, int]"
-) -> "set[tuple[Event, Configuration]] | list[tuple[Event, tuple[_Point, int]]]":
-    """All one-step transitions of a configuration: the symbolic moves of
-    its control point whose guards' compiled test the bits of its state
-    pass and whose action is enabled there, as a set of (event, successor
-    configuration). An interleaving's moves are its leaves' moves, each
-    made into a successor by replacing the leaf's slot.
-
-    The explorer passes a node instead: a (control point of the model's
-    engine, bits of a state) pair. It gets a list of (event rank, event,
-    successor node) (see ``_Engine.rank``), where two moves may make one
-    transition (see ``explorer._ordered``), and no configuration is made.
-    An introduction is enabled when the bits miss its promise's clash
-    mask, a withdrawal when they hold its promise."""
-    node = config.__class__ is tuple
-    point, bits = config if node else _locate(model, config)
+def step(model: PromiseModel, node: "tuple[_Point, int]") -> "list[tuple[int, Event, tuple[_Point, int]]]":
+    """The moves of a node, a (control point of the model's engine, bits)
+    pair: its point's symbolic moves whose guards' compiled test the bits
+    pass and whose action is enabled there (an introduction when the bits
+    miss its promise's clash mask, a withdrawal when they hold its
+    promise), as (event rank, event, successor node) (see ``_Engine.rank``).
+    An interleaving's moves are its leaves', each made into a successor by
+    replacing the leaf's slot. ``explorer.transitions`` is the view of
+    configurations, where two moves may make one transition."""
+    point, bits = node
     engine = model._engine
     masks = point.table.masks
     vector = point.op is Par
@@ -649,8 +637,6 @@ def step(
                     row[slot] = leaf
                     successor = points.get(key) or engine._vector(*key)
             found.append((rank, event, (successor, after)))
-    if not node:
-        return {(event, _configuration(*after)) for _, event, after in found}
     return found
 
 
@@ -745,13 +731,24 @@ class _Cell:
         self.terminates = first.terminates and (rest is None or rest.terminates)
 
 
+class _Renderings(dict):
+    """Each key's ``str``, rendered at its first lookup; an int key is the bits of a state."""
+
+    def __init__(self, table: _Table):
+        self.table = table
+
+    def __missing__(self, item) -> str:
+        text = self[item] = str(self.table.state(item) if item.__class__ is int else item)
+        return text
+
+
 class _Engine:
     """The terms stepped under one model, as control points. ``points``
     hash-conses them by class and operands, and an interleaving by its
     shape and leaves; ``cells`` hash-conses the operand lists, and
     ``shapes`` the shapes. ``table`` is the model's promise table. The
-    tables live on the model (see ``_locate``). ``texts`` renders the
-    events ranked so far; ``ranked`` is false while one is not."""
+    tables live on the model (see ``_locate``). ``texts`` renders events,
+    points and states; ``ranked`` is false while an event is unranked."""
 
     def __init__(self, table: _Table):
         self.points: dict[tuple, _Point] = {}
@@ -760,7 +757,7 @@ class _Engine:
         self.table = table
         self.done = _Point(Done, (), True, self.table, [], DONE)
         self.deadlock = _Point(Deadlock, (), False, self.table, [], DEADLOCK)
-        self.texts: dict[Event, str] = {}
+        self.texts = _Renderings(table)
         self.ranked = True
 
     def compile(self, model: PromiseModel | None, term: ProcessTerm) -> _Point:
@@ -901,9 +898,9 @@ class _Engine:
         equal texts alike and ranks dense, into each one's action: when the
         explorer first orders moves, so that a replay renders none, and again once
         a compile (``_locate``) adds an action point, dropping the derived moves."""
-        texts, acts = self.texts, [point for point in self.points.values() if point.op is Act]
-        texts.update((act.parts[0], str(act.parts[0])) for act in acts[len(texts) :])  # acts in the order made
-        ranks = {text: rank for rank, text in enumerate(sorted(set(texts.values())))}
+        texts = self.texts
+        rendered = {texts[point.parts[0]] for point in self.points.values() if point.op is Act}
+        ranks = {text: rank for rank, text in enumerate(sorted(rendered))}
         for point in self.points.values():
             action = point.moves[0][1] if point.op is Act else None
             point.moves = None if action is None else [(None, action[:-1] + (ranks[texts[action[0]]],), self.done)]
@@ -993,21 +990,18 @@ def _operands(term: ProcessTerm) -> list:
 
 
 def _locate(model: PromiseModel, config: Configuration) -> tuple[_Point, int]:
-    """The configuration's point in the model's engine, which is made at
-    the model's first step, and its state's bits in the model's table. A
-    configuration made otherwise compiles its term and numbers its state
-    at its first step under the model, and keeps both."""
+    """The node of a configuration (see ``step``): its point in the model's
+    engine, made at the model's first step, and its state's bits in the
+    model's table. A configuration that the engine made holds its node; any
+    other is compiled and numbered at each call, and left as it was."""
     engine = model._engine
     if engine is None:
         engine = _Engine(model._table)
         _set(model, "_engine", engine)
     point = config._point
-    if point is None or point.table is not engine.table:
-        state = config.state  # read before the point it may be built from changes
-        point = engine.compile(model, config.term)
-        _set(config, "_bits", engine.table.bits(model, state))
-        _set(config, "_point", point)
-    return point, config._bits
+    if point is not None and point.table is engine.table:
+        return point, config._bits
+    return engine.compile(model, config.term), engine.table.bits(model, config.state)
 
 
 def _configuration(point: _Point, bits: int) -> Configuration:

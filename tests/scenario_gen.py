@@ -8,6 +8,7 @@ parenthesization as well as the parser.
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 from promisekit.process_algebra import (
     Act,
@@ -102,8 +103,9 @@ def _random_term(rng: random.Random, model, depth: int):
     return _random_term(rng, model, depth - 1)
 
 
-def random_scenario_text(seed: int) -> str:
-    """A random, parseable scenario file."""
+def random_scenario_text(seed: int, parts: int = 1) -> str:
+    """A random, parseable scenario file. Past one part, its ``run`` term
+    interleaves ``parts`` sequences of two generated terms each."""
     rng = random.Random(seed)
     agent_names = [f"ag{i}" for i in range(rng.randint(2, 4))]
     type_names = [f"ty{i}" for i in range(rng.randint(1, 2))]
@@ -162,5 +164,10 @@ def random_scenario_text(seed: int) -> str:
             items.append(f"pi({promiser}, {atom.name}, {rng.choice(list(model.agents))})")
         lines.append("init " + ", ".join(items))
 
-    lines.append(f"run {_random_term(rng, model, rng.randint(1, 3))}")
+    def part():
+        return _random_term(rng, model, rng.randint(1, 3))
+
+    # interleaved sequences: each part has steps left after another moves
+    run = part() if parts == 1 else reduce(Par, [Seq(part(), part()) for _ in range(parts)])
+    lines.append(f"run {run}")
     return "\n".join(lines) + "\n"

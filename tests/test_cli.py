@@ -213,6 +213,20 @@ class TestVerifyTrace:
         assert out == ""
         assert err.count("\n") == 1 and "cannot read" in err
 
+    def test_files_with_a_byte_order_mark(self, tmp_path):
+        # an editor may save UTF-8 with a byte-order mark: each report is the
+        # one of the same files without it
+        scenario, trace_file = tmp_path / "bom.promise", tmp_path / "bom.txt"
+        scenario.write_bytes("\ufeff".encode() + Path(JUB).read_bytes())
+        trace_file.write_bytes("\ufeff".encode() + Path(TRACE).read_bytes())
+        for marked, plain in (
+            (["explore", str(scenario)], ["explore", JUB]),
+            (["run", str(scenario), "--seed", "3"], ["run", JUB, "--seed", "3"]),
+            (["verify-trace", str(scenario), "--trace", str(trace_file)], ["verify-trace", JUB, "--trace", TRACE]),
+        ):
+            code, out, err = run_cli(plain)
+            assert run_cli(marked) == (code, out, err) and code == 0 and err == ""
+
     def test_bad_first_event_rejected_at_zero(self, tmp_path):
         trace_file = tmp_path / "bad.txt"
         trace_file.write_text("pw(ja, tbc2JUB, ma)\n")

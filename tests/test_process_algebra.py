@@ -41,7 +41,6 @@ from promisekit.process_algebra import (
     eval_condition,
     event_promise,
     make_protocol,
-    step,
 )
 from promisekit.explorer import build_lts, maximal_traces, transitions
 from promisekit.promise_state import EMPTY_STATE, Promise, PromiseModel, State, introduce
@@ -91,7 +90,7 @@ class TestConditions:
             with pytest.raises(UnboundVariable):
                 eval_condition(ride_model, cond, EMPTY_STATE)
             with pytest.raises(UnboundVariable):
-                step(replace(ride_model), Configuration(Guard(cond, act), EMPTY_STATE))
+                transitions(replace(ride_model), Configuration(Guard(cond, act), EMPTY_STATE))
 
     def test_quantifier_scoping_shadows(self, ride_model):
         # the bound variable ranges over all agents but the excluded one
@@ -109,50 +108,50 @@ class TestConditions:
 class TestStep:
     def test_single_introduction(self, ride_model):
         event = IntroduceEvent(ride_model.agent("ja"), ride_model.body("tbc2JUB"), ride_model.agent("ma"))
-        transitions = step(ride_model, Configuration(Act(event), EMPTY_STATE))
-        assert transitions == {
+        found = set(transitions(ride_model, Configuration(Act(event), EMPTY_STATE)))
+        assert found == {
             (event, Configuration(DONE, State(frozenset({event_promise(event)}))))
         }
 
     def test_failed_guard_contributes_nothing(self, ride_model):
         event = IntroduceEvent(ride_model.agent("ja"), ride_model.body("tbc2JUB"), ride_model.agent("ma"))
-        assert step(ride_model, Configuration(Guard(FALSE, Act(event)), EMPTY_STATE)) == set()
+        assert set(transitions(ride_model, Configuration(Guard(FALSE, Act(event)), EMPTY_STATE))) == set()
 
     def test_true_guard_is_transparent(self, ride_model):
         event = IntroduceEvent(ride_model.agent("ja"), ride_model.body("tbc2JUB"), ride_model.agent("ma"))
         inner = Act(event)
-        assert step(ride_model, Configuration(Guard(TRUE, inner), EMPTY_STATE)) == step(
-            ride_model, Configuration(inner, EMPTY_STATE)
+        assert set(transitions(ride_model, Configuration(Guard(TRUE, inner), EMPTY_STATE))) == set(
+            transitions(ride_model, Configuration(inner, EMPTY_STATE))
         )
 
     def test_false_guard_equals_deadlock(self, ride_model):
         event = IntroduceEvent(ride_model.agent("ja"), ride_model.body("tbc2JUB"), ride_model.agent("ma"))
-        assert step(ride_model, Configuration(Guard(FALSE, Act(event)), EMPTY_STATE)) == step(
-            ride_model, Configuration(DEADLOCK, EMPTY_STATE)
+        assert set(transitions(ride_model, Configuration(Guard(FALSE, Act(event)), EMPTY_STATE))) == set(
+            transitions(ride_model, Configuration(DEADLOCK, EMPTY_STATE))
         )
 
     def test_parallel_offers_give_two_initial_transitions(self, ride):
-        transitions = step(ride.model, Configuration(ride.entry, EMPTY_STATE))
-        assert len(transitions) == 2
-        assert {str(event) for event, _ in transitions} == {
+        found = set(transitions(ride.model, Configuration(ride.entry, EMPTY_STATE)))
+        assert len(found) == 2
+        assert {str(event) for event, _ in found} == {
             "pi(ja, tbc2JUB, ma)",
             "pi(ju, tbc2JUB, ma)",
         }
 
     def test_withdrawal_of_absent_promise_is_disabled(self, ride_model):
         event = WithdrawEvent(ride_model.agent("ja"), ride_model.body("tbc2JUB"), ride_model.agent("ma"))
-        assert step(ride_model, Configuration(Act(event), EMPTY_STATE)) == set()
+        assert set(transitions(ride_model, Configuration(Act(event), EMPTY_STATE))) == set()
 
     def test_delegated_introduction_needs_compliance(self, ride_model):
         m = ride_model
         event = GeneralizedIntroduceEvent(
             m.agent("ja"), m.agent("ju"), m.body("tbc2JUB"), m.agent("ma"), m.agent("ma")
         )
-        assert step(m, Configuration(Act(event), EMPTY_STATE)) == set()
+        assert set(transitions(m, Configuration(Act(event), EMPTY_STATE))) == set()
         with_compliance = introduce(m, EMPTY_STATE, Promise(m.agent("ju"), GAMMA, m.agent("ja")))
-        transitions = step(m, Configuration(Act(event), with_compliance))
-        assert len(transitions) == 1
-        ((_, successor),) = transitions
+        found = set(transitions(m, Configuration(Act(event), with_compliance)))
+        assert len(found) == 1
+        ((_, successor),) = found
         assert Promise(m.agent("ju"), m.body("tbc2JUB"), m.agent("ma")) in successor.state
 
     def test_guard_is_evaluated_at_fire_time(self, ride_model):
@@ -164,10 +163,10 @@ class TestStep:
             Act(IntroduceEvent(m.agent("ma"), m.body("~tbc2JUB"), m.agent("ja"))),
         )
         config = Configuration(Par(guarded, Act(offer)), EMPTY_STATE)
-        first = step(m, config)
+        first = set(transitions(m, config))
         assert len(first) == 2  # both branches live initially
         after_offer = next(succ for event, succ in first if event == offer)
-        assert step(m, after_offer) == set()  # guard now false: branch dead
+        assert set(transitions(m, after_offer)) == set()  # guard now false: branch dead
 
 
 class TestTermination:
@@ -327,7 +326,7 @@ class TestOracleAgreement:
     @given(DEEP_TERMS, st.frozensets(PROMISES, max_size=6), st.booleans())
     def test_step_and_termination_match_the_oracle(self, term, held, strict):
         model = replace(ORACLE_MODEL, strict_conflicts=strict)
-        moves = step(model, Configuration(term, State(held)))
+        moves = set(transitions(model, Configuration(term, State(held))))
         assert moves == {
             (event, Configuration(succ, State(after)))
             for event, succ, after in _moves(model, term, held)
@@ -340,7 +339,7 @@ class TestOracleAgreement:
     @given(OPERATOR_CHAINS, st.frozensets(PROMISES, max_size=6), st.booleans())
     def test_step_matches_the_oracle_on_operator_chains(self, term, held, strict):
         model = replace(ORACLE_MODEL, strict_conflicts=strict)
-        assert step(model, Configuration(term, State(held))) == {
+        assert set(transitions(model, Configuration(term, State(held)))) == {
             (event, Configuration(succ, State(after)))
             for event, succ, after in _moves(model, term, held)
         }
@@ -362,7 +361,7 @@ class TestOracleAgreement:
             event, successor = move
             return str(event), str(successor.term), str(successor.state)
 
-        moves = step(model, config)
+        moves = _oracle_step(model, config)
         found = transitions(model, config)
         assert set(found) == moves and len(found) == len(moves)
         assert [key(move) for move in found] == sorted(key(move) for move in moves)
@@ -393,7 +392,7 @@ class TestOracleAgreement:
             reached = []
             for config in level[:40]:
                 for model in models:
-                    moves = step(model, config)
+                    moves = set(transitions(model, config))
                     assert moves == {
                         (event, Configuration(succ, State(after)))
                         for event, succ, after in _moves(model, config.term, config.state.promises)
@@ -446,8 +445,8 @@ VECTOR_TEXTS = [
 
 
 def _oracle_step(model, config):
-    """The oracle's transitions of a configuration, as ``step`` gives
-    them: its successor terms are built by the rules, so that a successor
+    """The oracle's transitions of a configuration, as a set of
+    ``transitions`` gives them: its successor terms are built by the rules, so that a successor
     of another shape compares unequal."""
     return {
         (event, Configuration(successor, State(after)))
@@ -470,7 +469,8 @@ class TestInterleavings:
         for reached in lts.nodes[1:]:
             for term in (reached.term, parse_term(str(reached.term), model)):
                 made = Configuration(term, reached.state)
-                assert step(model, made) == step(model, reached) == _oracle_step(model, reached)
+                found = set(transitions(model, made))
+                assert found == set(transitions(model, reached)) == _oracle_step(model, reached)
                 assert made == reached and hash(made) == hash(reached)
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -489,7 +489,7 @@ class TestInterleavings:
         assert explorer_trace_set(maximal_traces(lts)) == oracle_traces(model, term, State(held))
         for reached in lts.nodes[1:]:
             made = Configuration(reached.term, reached.state)
-            assert step(model, made) == step(model, reached) == _oracle_step(model, reached)
+            assert set(transitions(model, made)) == set(transitions(model, reached)) == _oracle_step(model, reached)
             assert made == reached and hash(made) == hash(reached)
             assert made.terminates is reached.terminates is _finished(reached.term)
 
@@ -627,7 +627,7 @@ class TestConditionOracle:
         assert eval_condition(model, cond, State(held)) is _eval(model, cond, held, {})
         # the engine compiles a guard, and conjoins it with the guards inside
         term = Guard(cond, Guard(_random_condition(rng, model, depth), Act(event)))
-        assert step(model, Configuration(term, State(held))) == {
+        assert set(transitions(model, Configuration(term, State(held)))) == {
             (event, Configuration(succ, State(after))) for event, succ, after in _moves(model, term, held)
         }
 
@@ -640,8 +640,8 @@ class TestConditionOracle:
         for _ in range(3_000):
             term = Guard(Or(HasPromise(a, x, b), HasPromise(b, x, a)), term)
         held = State(frozenset({Promise(b, x, a)}))
-        assert step(replace(ORACLE_MODEL), Configuration(term, EMPTY_STATE)) == set()
-        [(found, after)] = step(replace(ORACLE_MODEL), Configuration(term, held))
+        assert set(transitions(replace(ORACLE_MODEL), Configuration(term, EMPTY_STATE))) == set()
+        [(found, after)] = set(transitions(replace(ORACLE_MODEL), Configuration(term, held)))
         assert found == event and after.term == DONE
 
     def test_a_body_that_ignores_its_variable_is_compiled_once(self, monkeypatch):
@@ -738,6 +738,7 @@ class TestPickling:
         assert b"_Table" not in pickle.dumps(made)
         assert self._round_trip(made).promises == frozenset({offer})
         self._round_trip(State(frozenset({offer})))
-        [(event, config)] = step(ride_model, Configuration(Act(IntroduceEvent(offer.promiser, offer.body, offer.promisee)), EMPTY_STATE))
+        act = Act(IntroduceEvent(offer.promiser, offer.body, offer.promisee))
+        [(event, config)] = set(transitions(ride_model, Configuration(act, EMPTY_STATE)))
         copy = pickle.loads(pickle.dumps(config))
         assert copy == config and copy.state == made and copy.term == DONE
