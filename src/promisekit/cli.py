@@ -30,7 +30,7 @@ from .explorer import (
     final_outcome,
     find_deadlocks,
     maximal_traces,
-    transitions,
+    random_walk,
     verify_trace,
 )
 from .process_algebra import (
@@ -245,12 +245,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     if scenario is None:
         return EXIT_FAILURE
-    rng = random.Random(args.seed)
-    current = Configuration(scenario.entry, scenario.initial_state)
-    events = []
-    while moves := transitions(scenario.model, current):
-        event, current = rng.choice(moves)
-        events.append(event)
+    initial = Configuration(scenario.entry, scenario.initial_state)
+    events, current = random_walk(scenario.model, initial, random.Random(args.seed))
     texts = scenario.model._engine.texts  # renders each event once, and none the walk ranked
     outcome = final_outcome(current)
 

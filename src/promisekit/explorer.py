@@ -18,8 +18,10 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .process_algebra import (
+    Act,
     Configuration,
     Event,
+    Par,
     _configuration,
     _locate,
     _Point,
@@ -36,6 +38,7 @@ __all__ = [
     "Violation",
     "LimitExceeded",
     "transitions",
+    "random_walk",
     "final_outcome",
     "build_lts",
     "maximal_traces",
@@ -62,19 +65,24 @@ class LimitExceeded(Exception):
 
 def transitions(model: PromiseModel, config: Configuration) -> list[tuple[Event, Configuration]]:
     """The configuration view of ``step``: a configuration's transitions,
-    each once, in report order: by rendered event, successor term, state."""
-    moves = _ordered(model, _locate(model, config))
-    return [(event, _configuration(*after)) for _, event, after in moves]
+    each once, in report order: by rendered event, successor term, state.
+    Every successor is made, as a configuration."""
+    node = _locate(model, config)
+    return [(move[1], _configuration(*model._engine.successor(node[0], move))) for move in _ordered(model, node)]
 
 
 def _ordered(model: PromiseModel, node: tuple[_Point, int]) -> list[tuple]:
-    """``transitions`` of a (control point, bits) node, in the form
+    """``transitions`` of a (control point, bits) node, as the moves
     ``step`` gives, each transition once: by event rank (see
-    ``_Engine.rank``), and only on a tie, equal text, by rendered successor."""
+    ``_Engine.rank``), and only on a tie, equal text, by rendered
+    successor. Only the moves that tie have their successors made, to
+    render them and to merge the moves that make one transition; such a
+    move holds its whole successor point, with slot None."""
     moves = step(model, node)
     if len(moves) > 1:
-        if not model._engine.ranked:  # the first order asked of events not yet ranked
-            model._engine.rank()
+        engine = model._engine
+        if not engine.ranked:  # the first order asked of events not yet ranked
+            engine.rank()
             moves = step(model, node)
         moves.sort(key=itemgetter(0))
         rank = None
@@ -82,14 +90,26 @@ def _ordered(model: PromiseModel, node: tuple[_Point, int]) -> list[tuple]:
             if move[0] == rank:
                 break
             rank = move[0]
-        else:  # distinct events decide the order: no successor is rendered
+        else:  # distinct events decide the order: no successor is made
             return moves
-        # two moves are one transition when they have one event and one
-        # successor; equal events share their action point, so are one object
-        moves = list({(id(move[1]), move[2]): move for move in moves}.values())
-        texts = model._engine.texts
-        moves.sort(key=lambda move: (move[0], texts[move[2][0]], texts[move[2][1]]))
+        # the ranks that tie; equal events are one object, so equal tuples are one transition
+        tied = {move[0] for move, following in zip(moves, moves[1:]) if move[0] == following[0]}
+        point, texts = node[0], engine.texts
+        made = (move[:2] + (None,) + engine.successor(point, move) if move[0] in tied else move for move in moves)
+        moves = sorted(dict.fromkeys(made), key=lambda m: (m[0], texts[m[3]], texts[m[4]]) if m[0] in tied else m[:1])
     return moves
+
+
+def random_walk(model: PromiseModel, initial: Configuration, rng) -> tuple[list[Event], Configuration]:
+    """A walk from ``initial`` to a configuration with no transition, and
+    its events: at each node, the move that ``rng.choice`` picks from
+    ``transitions``' list. Only the picked move's successor is made."""
+    node, events, successor = _locate(model, initial), [], model._engine.successor
+    while moves := _ordered(model, node):
+        move = rng.choice(moves)
+        events.append(move[1])
+        node = successor(node[0], move)
+    return events, _configuration(*node)
 
 
 class Lts:
@@ -133,14 +153,15 @@ def build_lts(
 ) -> Lts:
     """Breadth-first closure of ``step`` starting from ``initial``.
 
-    A configuration gets its id when the search first reaches it, keyed by
-    its control point and the bits of its state, and is one object: every
-    edge leads to the instance in ``nodes``, the first too, which equals
-    ``initial``. An event's id is its rank (see ``_Engine.rank``), closed
-    up when some ranked event labels no transition here. Raises
-    LimitExceeded (with the partial system attached) when more than
-    ``node_limit`` configurations are reachable; its ``nodes`` are the
-    first ``node_limit``.
+    Each successor node is made from its move here, in the loop over the
+    node's moves. A configuration gets its id when the search first
+    reaches it, keyed by its control point and the bits of its state, and
+    is one object: every edge leads to the instance in ``nodes``, the
+    first too, which equals ``initial``. An event's id is its rank (see
+    ``_Engine.rank``), closed up when some ranked event labels no
+    transition here. Raises LimitExceeded (with the partial system
+    attached) when more than ``node_limit`` configurations are reachable;
+    its ``nodes`` are the first ``node_limit``.
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
@@ -149,15 +170,32 @@ def build_lts(
     nodes = [start]  # by id, and the queue: the search expands them in order
     successors: list[list[tuple[int, int]]] = []
     labels: dict[int, Event] = {}  # the event of each rank that labels a transition
-    if not model._engine.ranked:  # the ids are ranks
-        model._engine.rank()
+    engine = model._engine
+    if not engine.ranked:  # the ids are ranks
+        engine.rank()
+    points, vector, replace = engine.points, engine._vector, engine.replace
     for node in nodes:
         if len(successors) == node_limit:
             break
+        point = node[0]
+        if point.op is Par:
+            shape, leaves = point.parts
+            row = list(leaves)
         moves = []
-        for rank, event, key in _ordered(model, node):
-            target = ids.setdefault(key, len(nodes))
-            if target == len(nodes):
+        for rank, event, slot, successor, after in _ordered(model, node):
+            if slot is not None:  # the successor of a leaf: put it in its slot
+                if successor.op is Par:
+                    successor = replace(point, slot, successor)
+                else:  # ``replace`` inlined, on one copy of the leaves per node:
+                    # a call per move costs an offers build about 8%
+                    row[slot] = successor
+                    key = (shape, tuple(row))
+                    row[slot] = leaves[slot]
+                    successor = points.get(key) or vector(*key)
+            key = (successor, after)
+            target = ids.get(key)
+            if target is None:
+                target = ids[key] = len(nodes)
                 nodes.append(key)
             labels[rank] = event
             moves.append((rank, target))
@@ -201,15 +239,14 @@ def final_outcome(config: Configuration) -> Outcome:
 def _after(nodes, successors, outcome) -> tuple[dict, set[Outcome]]:
     """One step of the subset construction: each event that ``successors``
     gives any of ``nodes``, with every node it leads to, and the ``outcome``
-    of each of ``nodes`` that has no transition. A move ends in (event, target)."""
+    of each of ``nodes`` that has no transition. A move is (event, target)."""
     targets: dict = {}
     ends: set[Outcome] = set()
     for node in nodes:
         moves = successors(node)
         if not moves:
             ends.add(outcome(node))
-        for move in moves:
-            event, target = move[-2], move[-1]
+        for event, target in moves:
             found = targets.get(event)
             if found is None:
                 targets[event] = {target}
@@ -320,27 +357,26 @@ def verify_trace(
     The same event may label transitions into different terms, so the
     replay tracks every configuration the prefix can reach, as (control
     point, bits); the promise state is identical across them because it
-    is a function of the events.
+    is a function of the events. Of the moves ``step`` gives, only those
+    labelled by the trace's next event are made into nodes.
     """
-
-    def ending(node: tuple[_Point, int]) -> Outcome:
-        return final_outcome(_configuration(*node))
-
-    start = _locate(model, initial)
-    table = start[0].table
-    current = {start}
-    successors = partial(step, model)
+    current = {_locate(model, initial)}
+    engine = model._engine
     for index, wanted in enumerate(events):
-        targets, _ = _after(current, successors, ending)
-        if wanted not in targets:
-            available = tuple(sorted(targets, key=str))
-            return Rejected(index=index, available=available, state=table.state(next(iter(current))[1]))
-        current = targets[wanted]
+        found = [(node[0], step(model, node)) for node in current]
+        # equal events are one action point, whose event the moves hold
+        action = engine.points.get((Act, wanted))
+        event = action.parts[0] if action is not None else None
+        targets = {engine.successor(point, move) for point, moves in found for move in moves if move[1] is event}
+        if not targets:
+            available = tuple(sorted({move[1] for _, moves in found for move in moves}, key=str))
+            return Rejected(index=index, available=available, state=engine.table.state(next(iter(current))[1]))
+        current = targets
 
-    _, ends = _after(current, successors, ending)
+    ends = {node[0].terminates for node in current if not step(model, node)}
     # successful if any terminal configuration is, None if none is terminal
-    outcome = Outcome.SUCCESSFUL if Outcome.SUCCESSFUL in ends else next(iter(ends), None)
-    return Accepted(final_state=table.state(next(iter(current))[1]), maximal=bool(ends), outcome=outcome)
+    outcome = Outcome.SUCCESSFUL if True in ends else Outcome.DEADLOCKED if ends else None
+    return Accepted(final_state=engine.table.state(next(iter(current))[1]), maximal=bool(ends), outcome=outcome)
 
 
 @dataclass(frozen=True)
@@ -361,7 +397,8 @@ def check_invariants(model: PromiseModel, lts: Lts) -> list[Violation]:
     every reachable state, under the model's conflict mode: a mask test
     per held promise that can clash at all. Expected empty for any system
     reached through enabled speech acts. Each distinct state is checked once."""
-    states = [_locate(model, node)[1] for node in lts.nodes]
+    table = model._table  # an engine-made node holds its bits; any other is located
+    states = [node._bits if node._point and node._point.table is table else _locate(model, node)[1] for node in lts.nodes]
     clashes = {bits: _clashes(model, bits) for bits in set(states)}
     return [
         Violation(reason, node, f"{p} and {q}")

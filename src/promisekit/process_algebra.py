@@ -595,48 +595,31 @@ def can_terminate(term: ProcessTerm) -> bool:
     return _Engine(_Table()).compile(None, term).terminates
 
 
-def step(model: PromiseModel, node: "tuple[_Point, int]") -> "list[tuple[int, Event, tuple[_Point, int]]]":
+def step(model: PromiseModel, node: "tuple[_Point, int]") -> "list[tuple[int, Event, int | None, _Point, int]]":
     """The moves of a node, a (control point of the model's engine, bits)
     pair: its point's symbolic moves whose guards' compiled test the bits
     pass and whose action is enabled there (an introduction when the bits
     miss its promise's clash mask, a withdrawal when they hold its
-    promise), as (event rank, event, successor node) (see ``_Engine.rank``).
-    An interleaving's moves are its leaves', each made into a successor by
-    replacing the leaf's slot. ``explorer.transitions`` is the view of
-    configurations, where two moves may make one transition."""
+    promise), as (event rank, event, slot, successor point, successor
+    bits) (see ``_Engine.rank``). No node is made: an interleaving's moves
+    are its leaves', with the leaf's slot and successor, and any other
+    point's have slot None (see ``_Engine.successor``).
+    ``explorer.transitions`` is the view of configurations, where two
+    moves may make one transition."""
     point, bits = node
-    engine = model._engine
     masks = point.table.masks
-    vector = point.op is Par
-    if vector:
-        shape, leaves = point.parts
-        row, points = list(leaves), engine.points
-    else:
-        leaves = (point,)
     found = []
-    for slot, leaf in enumerate(leaves):
-        moves = leaf.moves if leaf.moves is not None else engine.derive(model, leaf)
+    for slot, leaf in enumerate(point.parts[1]) if point.op is Par else ((None, point),):
+        moves = leaf.moves if leaf.moves is not None else model._engine.derive(model, leaf)
         for test, (event, flag, number, needed, withdraws, rank), successor in moves:
             if test is not None and not _passes(test, bits):
                 continue
             if withdraws:
                 if not bits & flag:
                     continue
-                after = bits ^ flag
+                found.append((rank, event, slot, successor, bits ^ flag))
             elif bits & needed == needed and not bits & masks[number]:
-                after = bits | flag
-            else:
-                continue
-            if vector:
-                if successor.op is Par:
-                    successor = engine.replace(point, slot, successor)
-                else:  # ``replace`` inlined, on one copy of the leaves per step:
-                    # a call per move costs an offers build about 8%
-                    row[slot] = successor
-                    key = (shape, tuple(row))
-                    row[slot] = leaf
-                    successor = points.get(key) or engine._vector(*key)
-            found.append((rank, event, (successor, after)))
+                found.append((rank, event, slot, successor, bits | flag))
     return found
 
 
@@ -693,6 +676,8 @@ class _Point:
         self._term = term
 
     def __str__(self) -> str:
+        if self.op is Par:
+            return _joined(self.parts[0]).format(*map(str, self.parts[1]))
         return str(_term_of(self))
 
     def sources(self) -> list["_Point"]:
@@ -732,13 +717,21 @@ class _Cell:
 
 
 class _Renderings(dict):
-    """Each key's ``str``, rendered at its first lookup; an int key is the bits of a state."""
+    """Each key's ``str``, rendered at its first lookup. An int key is the
+    bits of a state, and a tuple the shape of an interleaving, whose text
+    is a format (see ``_joined``) that joins its leaves' texts."""
 
     def __init__(self, table: _Table):
         self.table = table
 
     def __missing__(self, item) -> str:
-        text = self[item] = str(self.table.state(item) if item.__class__ is int else item)
+        if item.__class__ is tuple:
+            text = _joined(item)
+        elif item.__class__ is _Point and item.op is Par:
+            text = self[item.parts[0]].format(*map(self.__getitem__, item.parts[1]))
+        else:
+            text = str(self.table.state(item) if item.__class__ is int else item)
+        self[item] = text
         return text
 
 
@@ -842,6 +835,12 @@ class _Engine:
             spliced = (successor,)
         key = (shape, leaves[:slot] + spliced + leaves[slot + 1 :])
         return self.points.get(key) or self._vector(*key)
+
+    def successor(self, point: _Point, move: tuple) -> tuple[_Point, int]:
+        """The node that a move of ``point`` (see ``step``) leads to: its
+        successor point, put in the move's slot of an interleaving."""
+        slot, successor = move[2], move[3]
+        return (successor if slot is None else self.replace(point, slot, successor)), move[4]
 
     def _cell(self, first: _Point, rest: _Cell | None) -> _Cell:
         key = (first, rest)
@@ -1039,6 +1038,25 @@ def _term_of(point: _Point) -> ProcessTerm:
         shape = node.parts[0] if node.op is Par else (0,) + (1,) * (len(parts) - 1)  # a left chain
         node._term = _nested(node.op, shape, [part._term for part in parts])
     return point._term
+
+
+def _joined(shape: tuple[int, ...]) -> str:
+    """The text of an interleaving of this shape as a format, a ``{}`` for
+    each leaf, as ``_render`` gives it: a leaf binds tighter than ``||``
+    and goes bare, and a join is parenthesized where it is a right
+    operand. The operands waiting for their join are on a stack, as their
+    first leaf's place, complemented (``~``) once the operand is a join."""
+    opens, closes, operands = [0] * len(shape), [0] * len(shape), []
+    for place, joins in enumerate(shape):
+        operands.append(place)
+        for _ in range(joins):
+            right = operands.pop()
+            if right < 0:
+                opens[~right] += 1
+                closes[place] += 1
+            if operands[-1] >= 0:
+                operands[-1] = ~operands[-1]
+    return " || ".join("(" * o + "{}" + ")" * c for o, c in zip(opens, closes))
 
 
 def _flatten(term: Par) -> tuple[list, tuple[int, ...]]:
