@@ -206,14 +206,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
         return EXIT_LIMIT
     violations = check_invariants(scenario.model, lts)
     deadlocks = find_deadlocks(lts)
-    edges = sum(map(len, lts._successors))  # without making the (source, event, target) triples
     texts = scenario.model._engine.texts  # the build ranked, and so rendered, every event once
 
     if args.format == "json":
         _print_json(
             {
                 "nodes": len(lts.nodes),
-                "edges": edges,
+                "edges": len(lts.edges),
                 "traces": [
                     {"events": [texts[e] for e in t.events], "outcome": str(t.outcome)}
                     for t in traces
@@ -228,7 +227,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             }
         )
     else:
-        lines = [f"nodes: {len(lts.nodes)}", f"edges: {edges}", f"traces: {len(traces)}"]
+        lines = [f"nodes: {len(lts.nodes)}", f"edges: {len(lts.edges)}", f"traces: {len(traces)}"]
         indented = {event: f"  {texts[event]}" for event in lts._events}
         for number, (events, outcome) in enumerate(traces, start=1):
             lines.append(f"trace {number} ({outcome}):")

@@ -12,9 +12,12 @@ runs are byte-identical.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import itemgetter
+from itertools import accumulate
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .process_algebra import (
@@ -112,38 +115,64 @@ def random_walk(model: PromiseModel, initial: Configuration, rng) -> tuple[list[
     return events, _configuration(*node)
 
 
+class _View(Sequence):
+    """A read-only sequence of ``size`` items, item ``i`` being ``item(i)``,
+    made when read. Views compare item by item, as tuples do."""
+
+    def __init__(self, size: int, item):
+        self._size, self._item = size, item
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        places = range(self._size)[index]  # negative indices and slices, as a tuple takes them
+        return tuple(map(self._item, places)) if isinstance(index, slice) else self._item(places)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (_View, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 class Lts:
     """A fully explored transition system, numbered as ``build_lts`` found
-    it: a node's id is its place in ``_configs``, made by the engine from
-    each node the build reached (see ``step``), and ``nodes`` are the first
-    ``expanded`` of them, in breadth-first order. Later ones are the ends
-    that a truncated build did not expand, and have no transitions.
-    ``_successors`` holds each one's transitions as (event id, node id),
-    sorted by rendered event, then successor; an event's id is its place in
-    ``_events``, which are in rendered order, so that ids sort as reports
-    do. ``edges`` are made from these at their first read.
+    it: a node's id is its place in ``_keys``, the (control point, bits)
+    nodes the build reached (see ``step``), or (configuration, None) for a
+    node given as one. ``_configs`` are all of them and ``nodes`` the first
+    ``expanded``, in breadth-first order; later ones are the ends that a
+    truncated build did not expand, and have no transitions. ``_successors``
+    holds each one's transitions as (event id, node id), sorted by rendered
+    event, then successor; an event's id is its place in ``_events``, which
+    are in rendered order, so that ids sort as reports do. ``_configs``,
+    ``nodes`` and ``edges`` are views whose lengths make nothing: a node's
+    configuration is made at its first read and kept, one object.
     """
 
-    def __init__(
-        self,
-        configs: list[Configuration],
-        successors: list[list[tuple[int, int]]],
-        events: list[Event],
-        expanded: int,
-    ):
-        self.nodes = tuple(configs[:expanded])
-        self._configs = configs
-        self._successors = successors
-        self._events = events
+    def __init__(self, nodes: list, successors: list[list[tuple[int, int]]], events: list[Event], expanded: int):
+        self._keys = [node if node.__class__ is tuple else (node, None) for node in nodes]
+        self._successors, self._events, self._made = successors, events, {}  # _made: each node read, by id
+        self._expanded, self._size = min(expanded, len(nodes)), sum(map(len, successors))
 
-    @cached_property
-    def edges(self) -> tuple[tuple[Configuration, Event, Configuration], ...]:
-        configs, events = self._configs, self._events
-        return tuple(
-            (configs[source], events[event], configs[target])
-            for source, moves in enumerate(self._successors)
-            for event, target in moves
-        )
+    # each read makes a view, so that no view's hold on the system makes a cycle
+    nodes = property(lambda self: _View(self._expanded, self._config))
+    _configs = property(lambda self: _View(len(self._keys), self._config))
+    edges = property(lambda self: _View(self._size, self._edge))
+
+    def _config(self, node: int) -> Configuration:
+        config = self._made.get(node)
+        if config is None:
+            point, bits = self._keys[node]
+            config = self._made[node] = point if bits is None else _configuration(point, bits)
+        return config
+
+    def _edge(self, index: int) -> tuple[Configuration, Event, Configuration]:
+        source = bisect_right(self._ends, index)  # the node whose moves hold the edge
+        moves = self._successors[source]
+        event, target = moves[index - self._ends[source] + len(moves)]
+        return self._config(source), self._events[event], self._config(target)
+
+    _ends = cached_property(lambda self: list(accumulate(map(len, self._successors))))  # past each node's edges
 
 
 def build_lts(
@@ -154,10 +183,11 @@ def build_lts(
     """Breadth-first closure of ``step`` starting from ``initial``.
 
     Each successor node is made from its move here, in the loop over the
-    node's moves. A configuration gets its id when the search first
-    reaches it, keyed by its control point and the bits of its state, and
-    is one object: every edge leads to the instance in ``nodes``, the
-    first too, which equals ``initial``. An event's id is its rank (see
+    node's moves. A node gets its id when the search first reaches it,
+    keyed by its control point and the bits of its state. No configuration
+    is made here: ``Lts`` makes one when a node is read, as one object, so
+    every edge leads to the instance in ``nodes``, the first too, which
+    equals ``initial``. An event's id is its rank (see
     ``_Engine.rank``), closed up when some ranked event labels no
     transition here. Raises LimitExceeded (with the partial system
     attached) when more than ``node_limit`` configurations are reachable;
@@ -200,14 +230,13 @@ def build_lts(
             labels[rank] = event
             moves.append((rank, target))
         successors.append(moves)
-    configs = [_configuration(*key) for key in nodes]
-    successors += [[] for _ in range(len(configs) - len(successors))]  # ends past the limit
+    successors += [[] for _ in range(len(nodes) - len(successors))]  # ends past the limit
     ranks = sorted(labels)
     if ranks and ranks[-1] >= len(ranks):  # some rank labels nothing here: close up the ids
         number = {rank: place for place, rank in enumerate(ranks)}
         successors = [[(number[rank], target) for rank, target in moves] for moves in successors]
-    lts = Lts(configs, successors, [labels[rank] for rank in ranks], node_limit)
-    if len(configs) > node_limit:
+    lts = Lts(nodes, successors, [labels[rank] for rank in ranks], node_limit)
+    if len(nodes) > node_limit:
         raise LimitExceeded("node", node_limit, lambda: lts)
     return lts
 
@@ -230,9 +259,10 @@ class Trace(NamedTuple):
         return "\n".join(str(event) for event in self.events)
 
 
-def final_outcome(config: Configuration) -> Outcome:
-    """How a run ends that stopped in ``config``: successful when its term
-    can terminate, deadlocked otherwise."""
+def final_outcome(config: Configuration | _Point) -> Outcome:
+    """How a run ends that stopped in ``config``, or in a node of this
+    control point: successful when its term can terminate, deadlocked
+    otherwise."""
     return Outcome.SUCCESSFUL if config.terminates else Outcome.DEADLOCKED
 
 
@@ -270,10 +300,10 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     report order, under its own events. The walk keeps only a count and pieces
     (see ``_listing``): past the cap, no trace is made until ``partial`` is read.
     """
-    events, successors, configs = lts._events, lts._successors.__getitem__, lts._configs
+    events, successors, keys = lts._events, lts._successors.__getitem__, lts._keys
 
     def outcome(node: int) -> Outcome:
-        return final_outcome(configs[node])
+        return final_outcome(keys[node][0])
 
     # a depth-first walk on an explicit stack, so that no recursion limit
     # bounds the trace length. A frame is a set of nodes being listed: an
@@ -396,21 +426,26 @@ def check_invariants(model: PromiseModel, lts: Lts) -> list[Violation]:
     """Every pair of promises that clash (see ``promise_state.clash``) in
     every reachable state, under the model's conflict mode: a mask test
     per held promise that can clash at all. Expected empty for any system
-    reached through enabled speech acts. Each distinct state is checked once."""
-    table = model._table  # an engine-made node holds its bits; any other is located
-    states = [node._bits if node._point and node._point.table is table else _locate(model, node)[1] for node in lts.nodes]
+    reached through enabled speech acts. Each distinct state is checked once;
+    a node made by hand is located, and only nodes that clash are made."""
+    table, nodes = model._table, lts.nodes
+    states = [
+        bits if bits is not None and point.table is table else _locate(model, nodes[node])[1]
+        for node, (point, bits) in enumerate(lts._keys[: len(nodes)])
+    ]
     clashes = {bits: _clashes(model, bits) for bits in set(states)}
     return [
-        Violation(reason, node, f"{p} and {q}")
-        for node, bits in zip(lts.nodes, states)
+        Violation(reason, nodes[node], f"{p} and {q}")
+        for node, bits in enumerate(states)
         for reason, p, q in clashes[bits]
     ]
 
 
 def find_deadlocks(lts: Lts) -> list[Configuration]:
-    """Terminal configurations that cannot terminate successfully."""
+    """Terminal configurations that cannot terminate successfully: only these are made."""
+    keys, successors, nodes = lts._keys, lts._successors, lts.nodes
     return [
-        node
-        for node, moves in zip(lts.nodes, lts._successors)
-        if not moves and final_outcome(node) is Outcome.DEADLOCKED
+        nodes[node]
+        for node in range(len(nodes))
+        if not successors[node] and final_outcome(keys[node][0]) is Outcome.DEADLOCKED
     ]

@@ -38,7 +38,6 @@ from .task_algebra import (
     TaskBody,
     TypeTag,
     UnknownAtom,
-    all_bodies,
     body_form,
     build_incompatibility,
     incompatible,
@@ -223,7 +222,13 @@ class PromiseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "_agents_by_name", {a.name: a for a in self.agents})
-        bodies = {(b.atom.name, b.usage, b.negated): b for b in all_bodies(self.atoms)}
+        # ``create``'s relation holds every form; one made by hand may lack some: make those
+        atoms = set(self.atoms)
+        bodies = {(b.atom.name, b.usage, b.negated): b for b in self.incompatibility.partners if b.atom in atoms}
+        for atom in self.atoms if len(bodies) < 4 * len(atoms) else ():
+            for form in ((atom.name, usage, negated) for negated in (False, True) for usage in (False, True)):
+                if form not in bodies:
+                    bodies[form] = TaskBody(atom, *form[1:])
         object.__setattr__(self, "_bodies", bodies)
         object.__setattr__(self, "_table", _Table())
 

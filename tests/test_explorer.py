@@ -7,6 +7,7 @@ recursive enumerator in sos_oracle.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import re
 import tracemalloc
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from promisekit import cli, explorer, promise_state
+from promisekit import cli, explorer, process_algebra, promise_state
 from promisekit.corpus import corpus_text
 from promisekit.dsl import parse_scenario, parse_term, parse_trace
 from promisekit.explorer import (
@@ -52,12 +53,13 @@ from promisekit.process_algebra import (
     step,
 )
 from promisekit.promise_state import EMPTY_STATE, Agent, Promise, State
-from promisekit.task_algebra import GAMMA
+from promisekit.task_algebra import GAMMA, GAMMA_ATOM, IncompatibilityRelation, TaskAtom, TaskBody, UnknownAtom
 
 from helpers import long_negotiation, offers, run_cli
 from scenario_gen import random_scenario_text
 from sos_oracle import explorer_trace_set, oracle_traces
 
+ROOT = Path(__file__).resolve().parent.parent
 RIDE_NODES = 48
 RIDE_EDGES = 96
 RIDE_TRACES = 340
@@ -306,6 +308,142 @@ class TestBuildLts:
             assert first == initial and hash(first) == hash(initial) and first is not initial
         assert all(getattr(initial, name) is value for name, value in zip(Configuration.__slots__, made))
         assert made[2:] == [None, None]  # no control point, no bits
+
+
+def _count_configurations(monkeypatch) -> list:
+    """The nodes made configurations from now on: the engine makes one
+    through ``_configuration`` only."""
+    made = []
+
+    def counting(point, bits):
+        made.append((point, bits))
+        return configuration(point, bits)
+
+    configuration = process_algebra._configuration
+    monkeypatch.setattr(process_algebra, "_configuration", counting)
+    monkeypatch.setattr(explorer, "_configuration", counting)
+    return made
+
+
+def _benchmark_offers(seed: int, n: int) -> str:
+    """The ``offers`` scenario text that the benchmark explores."""
+    spec = importlib.util.spec_from_file_location("bench_scenarios", ROOT / "bench" / "scenarios.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.offers(seed, n)
+
+
+class TestConfigurationsMadeWhenRead:
+    def test_the_benchmark_explore_makes_no_configuration(self, monkeypatch):
+        # what the benchmark's explore reads, on its offers(1, 4): counts,
+        # the capped trace walk, invariants and deadlocks, none of them a
+        # configuration
+        scenario = parse_scenario(_benchmark_offers(1, 4))
+        initial = Configuration(scenario.entry, scenario.initial_state)
+        made = _count_configurations(monkeypatch)
+        lts = build_lts(scenario.model, initial)
+        assert (len(lts.nodes), len(lts.edges)) == (2_160, 8_640)
+        with pytest.raises(LimitExceeded):
+            maximal_traces(lts, max_traces=10_000)
+        assert check_invariants(scenario.model, lts) == []
+        assert find_deadlocks(lts) == []
+        assert made == [] and lts._made == {}
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["dyadic", "strict"])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            *(f"src/promisekit/corpus/{name}" for name in ("jub.promise", "isp.promise", "laws.promise")),
+            *(str(path.relative_to(ROOT)) for path in sorted((ROOT / "tests" / "golden").glob("*.promise"))),
+        ],
+    )
+    def test_explore_makes_one_configuration_per_reported_node(self, path, strict, monkeypatch):
+        # a node that is both a deadlock and a violation is made once; a
+        # scenario past the trace cap reports, and makes, none
+        scenario = parse_scenario((ROOT / path).read_text(encoding="utf-8"), strict_conflicts=strict)
+        lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state))
+        try:
+            maximal_traces(lts)
+        except LimitExceeded:
+            reported = set()
+        else:
+            reported = {id(node) for node in find_deadlocks(lts)}
+            reported |= {id(violation.config) for violation in check_invariants(scenario.model, lts)}
+        made = _count_configurations(monkeypatch)
+        run_cli(["explore", str(ROOT / path), *(["--strict-conflicts"] if strict else [])])
+        assert len(made) == len(reported)
+        assert len(set(made)) == len(made)
+
+    @pytest.mark.parametrize("term", ["ride", "withdrawal"])
+    def test_only_the_nodes_that_clash_are_made(self, ride, term, monkeypatch):
+        # an initial state that breaches exclusiveness: the ride keeps both
+        # promises in every node, a withdrawal of one leaves a clean node
+        model = ride.model
+        clash = {model.promise("ma", "~tbc2JUB", "ja"), model.promise("ma", "~tbc2JUB", "ju")}
+        withdrawal = Act(WithdrawEvent(model.agent("ma"), model.body("~tbc2JUB"), model.agent("ju")))
+        lts = build_lts(model, Configuration(ride.entry if term == "ride" else withdrawal, State(frozenset(clash))))
+        made = _count_configurations(monkeypatch)
+        violations = check_invariants(model, lts)
+        assert violations and all(violation.kind == "exclusiveness" for violation in violations)
+        clashing = {id(violation.config) for violation in violations}
+        assert len(made) == len(clashing) == (len(lts.nodes) if term == "ride" else 1)
+        assert len(lts.nodes) > 1
+
+    def test_views_index_iterate_and_compare_as_tuples(self, ride, ride_lts):
+        again = build_lts(ride.model, Configuration(ride.entry, ride.initial_state))
+        nodes, edges = again.nodes, again.edges
+        assert again._made == {}  # nothing made by the build or by its lengths
+        assert nodes[-1] is nodes[len(nodes) - 1] and nodes[-len(nodes)] is nodes[0]
+        assert edges[-1] == edges[len(edges) - 1] and edges[-1][2] is edges[len(edges) - 1][2]
+        for index in (len(nodes), -len(nodes) - 1):
+            with pytest.raises(IndexError):
+                nodes[index]
+        assert nodes[1:4] == (nodes[1], nodes[2], nodes[3]) and nodes[::-1][0] is nodes[-1]
+        # iteration is breadth-first id order, and edges go source by source
+        assert list(nodes) == [nodes[node] for node in range(len(nodes))]
+        assert list(edges) == [
+            (nodes[source], again._events[event], nodes[target])
+            for source, moves in enumerate(again._successors)
+            for event, target in moves
+        ]
+        assert nodes == ride_lts.nodes and edges == ride_lts.edges
+        assert nodes == tuple(ride_lts.nodes) and tuple(edges) == ride_lts.edges
+        assert nodes != edges and nodes != ride_lts.nodes[1:] and nodes != list(nodes)
+        assert len(again._made) == len(nodes)
+
+    def test_a_partial_system_reaches_its_ends(self, ride):
+        with pytest.raises(LimitExceeded) as exc:
+            build_lts(ride.model, Configuration(ride.entry, ride.initial_state), node_limit=5)
+        partial = exc.value.partial
+        assert len(partial.nodes) == 5 < len(partial._configs)
+        assert list(partial.nodes) == list(partial._configs[:5])
+        ends = {id(end) for end in partial._configs[5:]}
+        # every end is an edge's target, and has no edge of its own
+        assert {id(target) for _, _, target in partial.edges} >= ends
+        assert not ends & {id(source) for source, _, _ in partial.edges}
+        assert len(partial.edges) == sum(map(len, partial._successors[:5]))
+
+
+class TestModelBodies:
+    def test_a_model_takes_its_relations_forms_and_makes_only_the_missing(self, ride_model):
+        # ``create``'s relation holds every form of every atom; a model made
+        # by hand or replaced still names every form of each of its atoms,
+        # and no atom that it does not hold
+        partners = {id(body) for body in ride_model.incompatibility.partners}
+        assert all(id(ride_model.body(text)) in partners for text in ("tbc2JUB", "~tbc2JUB", "!tbc2JUB", "!~tbc2JUB"))
+        lift = ride_model.body("tbc2JUB").atom
+        extra = TaskAtom("extra", lift.type)
+        grown = replace(ride_model, atoms=ride_model.atoms + (extra,))
+        assert all(body.atom != extra for body in grown.incompatibility.partners)
+        assert [grown.body(text) for text in ("extra", "~extra", "!extra", "!~extra")] == [
+            TaskBody(extra, False, False), TaskBody(extra, True, False), TaskBody(extra, False, True), TaskBody(extra, True, True)
+        ]
+        assert grown.body("~tbc2JUB") is ride_model.body("~tbc2JUB")
+        empty = IncompatibilityRelation(frozenset(), frozenset())
+        made = replace(ride_model, incompatibility=empty, atoms=(lift, GAMMA_ATOM))
+        assert made.body("!~tbc2JUB") == TaskBody(lift, True, True) and made.body("~gamma") == TaskBody(GAMMA_ATOM, True)
+        with pytest.raises(UnknownAtom):
+            replace(ride_model, atoms=(GAMMA_ATOM,)).body("tbc2JUB")
 
 
 def _sequence(shape: str, length: int) -> str:
