@@ -33,18 +33,8 @@ from .explorer import (
     random_walk,
     verify_trace,
 )
-from .process_algebra import (
-    Act,
-    Alt,
-    Configuration,
-    GeneralizedIntroduceEvent,
-    Guard,
-    Par,
-    ProcessTerm,
-    Seq,
-    event_promise,
-)
-from .promise_state import obligation_warnings
+from .process_algebra import Act, Configuration, GeneralizedIntroduceEvent, _Engine, event_promise
+from .promise_state import _Table, obligation_warnings
 from .task_algebra import algebra_law_violations, incompatibility_law_violations
 
 __all__ = ["main"]
@@ -120,25 +110,6 @@ def _load_scenario(args: argparse.Namespace) -> Scenario | None:
         return None
 
 
-def _generalized_events(terms: list[ProcessTerm]):
-    """The delegated events of the terms. Definitions share their
-    subterms, so each distinct subterm object is visited once."""
-    stack = list(terms)
-    seen: set[int] = set()  # ids: the terms keep their subterms alive
-    while stack:
-        term = stack.pop()
-        if id(term) in seen:
-            continue
-        seen.add(id(term))
-        if isinstance(term, Act):
-            if isinstance(term.event, GeneralizedIntroduceEvent):
-                yield term.event
-        elif isinstance(term, (Seq, Alt, Par)):
-            stack += (term.right, term.left)
-        elif isinstance(term, Guard):
-            stack.append(term.body)
-
-
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -151,12 +122,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     violations = algebra_law_violations(model.atoms)
     violations += incompatibility_law_violations(model.atoms, model.incompatibility)
 
-    terms = [term for _, term in scenario.definitions] + [scenario.entry]
+    # the delegated events of the definitions and the entry: compiled under
+    # no model, each distinct action is one point
+    engine = _Engine(_Table())
+    for term in [term for _, term in scenario.definitions] + [scenario.entry]:
+        engine.compile(None, term)
     warnings = sorted(
         {
             str(w)
-            for event in _generalized_events(terms)
-            for w in obligation_warnings(model, event_promise(event))
+            for point in engine.points.values()
+            if point.op is Act and point.parts[0].__class__ is GeneralizedIntroduceEvent
+            for w in obligation_warnings(model, event_promise(point.parts[0]))
         }
     )
 

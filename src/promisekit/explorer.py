@@ -139,14 +139,15 @@ class Lts:
     """A fully explored transition system, numbered as ``build_lts`` found
     it: a node's id is its place in ``_keys``, the (control point, bits)
     nodes the build reached (see ``step``), or (configuration, None) for a
-    node given as one. ``_configs`` are all of them and ``nodes`` the first
-    ``expanded``, in breadth-first order; later ones are the ends that a
-    truncated build did not expand, and have no transitions. ``_successors``
-    holds each one's transitions as (event id, node id), sorted by rendered
-    event, then successor; an event's id is its place in ``_events``, which
-    are in rendered order, so that ids sort as reports do. ``_configs``,
-    ``nodes`` and ``edges`` are views whose lengths make nothing: a node's
-    configuration is made at its first read and kept, one object.
+    node given as one. ``nodes`` are the first ``expanded``, in breadth-first
+    order; later keys are the ends that a truncated build did not expand,
+    and have no transitions. ``_successors`` holds each one's transitions as
+    (event id, node id), sorted by rendered event, then successor; an
+    event's id is its place in ``_events``, which are in rendered order, so
+    that ids sort as reports do. ``nodes`` and ``edges`` are views whose
+    lengths make nothing: this is where configurations are lazy. A node's
+    configuration, its term and state, is made at its first read and kept,
+    one object.
     """
 
     def __init__(self, nodes: list, successors: list[list[tuple[int, int]]], events: list[Event], expanded: int):
@@ -156,7 +157,6 @@ class Lts:
 
     # each read makes a view, so that no view's hold on the system makes a cycle
     nodes = property(lambda self: _View(self._expanded, self._config))
-    _configs = property(lambda self: _View(len(self._keys), self._config))
     edges = property(lambda self: _View(self._size, self._edge))
 
     def _config(self, node: int) -> Configuration:

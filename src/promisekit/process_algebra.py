@@ -12,7 +12,7 @@ is free interleaving only; there is no communication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .promise_state import (
     Agent,
@@ -527,61 +527,16 @@ DONE = Done()
 DEADLOCK = Deadlock()
 
 
-_set = object.__setattr__  # fills fields of classes that refuse assignment
+class Configuration(NamedTuple):
+    """A process term paired with the promise state it runs against."""
 
-
-class Configuration:
-    """A process term paired with the promise state it runs against.
-
-    Configurations are equal when their terms and states are. One that
-    the engine made holds its term as a control point of the model's
-    engine (see ``_Engine``) and its state as bits in the model's promise
-    table, and builds the term and the ``State`` only when they are read."""
-
-    __slots__ = ("_term", "_state", "_point", "_bits")
-
-    def __init__(self, term: ProcessTerm, state: State):
-        _set(self, "_term", term)
-        _set(self, "_state", state)
-        _set(self, "_point", None)
-        _set(self, "_bits", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: configurations are immutable")
-
-    @property
-    def term(self) -> ProcessTerm:
-        if self._term is None:
-            _set(self, "_term", _term_of(self._point))
-        return self._term
-
-    @property
-    def state(self) -> State:
-        if self._state is None:
-            _set(self, "_state", self._point.table.state(self._bits))
-        return self._state
+    term: ProcessTerm
+    state: State
 
     @property
     def terminates(self) -> bool:
-        """``can_terminate`` of the term, read from its control point."""
-        point = self._point
-        return point.terminates if point is not None else can_terminate(self._term)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Configuration:
-            return NotImplemented
-        return self.state == other.state and self.term == other.term
-
-    def __hash__(self) -> int:
-        # equal configurations have equal states; hashing the term as well
-        # would build every term that is held as a point
-        return hash(self.state)
-
-    def __repr__(self) -> str:
-        return f"Configuration(term={self.term!r}, state={self.state!r})"
-
-    def __reduce__(self):
-        return Configuration, (self.term, self.state)
+        """Whether the term can terminate (see ``can_terminate``)."""
+        return can_terminate(self.term)
 
 
 def can_terminate(term: ProcessTerm) -> bool:
@@ -989,27 +944,19 @@ def _operands(term: ProcessTerm) -> list:
 
 
 def _locate(model: PromiseModel, config: Configuration) -> tuple[_Point, int]:
-    """The node of a configuration (see ``step``): its point in the model's
-    engine, made at the model's first step, and its state's bits in the
-    model's table. A configuration that the engine made holds its node; any
-    other is compiled and numbered at each call, and left as it was."""
+    """The node of a configuration (see ``step``): its term compiled into
+    the model's engine, made at the model's first step, and its state's bits
+    in the model's table. Compiling is hash-consed, so a configuration that
+    the engine made finds the point it was made from."""
     engine = model._engine
     if engine is None:
         engine = _Engine(model._table)
-        _set(model, "_engine", engine)
-    point = config._point
-    if point is not None and point.table is engine.table:
-        return point, config._bits
+        object.__setattr__(model, "_engine", engine)
     return engine.compile(model, config.term), engine.table.bits(model, config.state)
 
 
 def _configuration(point: _Point, bits: int) -> Configuration:
-    config = object.__new__(Configuration)
-    _set(config, "_term", point._term)
-    _set(config, "_state", None)
-    _set(config, "_point", point)
-    _set(config, "_bits", bits)
-    return config
+    return Configuration(_term_of(point), point.table.state(bits))
 
 
 def _term_of(point: _Point) -> ProcessTerm:

@@ -56,7 +56,6 @@ __all__ = [
     "ObligationWarning",
     "clash",
     "pi_enabled",
-    "try_introduce",
     "introduce",
     "pw_enabled",
     "withdraw",
@@ -438,18 +437,11 @@ def clash(model: PromiseModel, p: Promise, q: Promise) -> str | None:
 
 
 def pi_enabled(model: PromiseModel, state: State, promise: Promise) -> bool:
-    """True iff the promise clashes with nothing in the state."""
-    return try_introduce(model, state, promise) is not None
-
-
-def try_introduce(model: PromiseModel, state: State, promise: Promise) -> State | None:
-    """The state with the promise added, or None when it is not enabled:
-    when the state's bits meet the promise's clash mask."""
+    """True iff the promise clashes with nothing in the state: iff the
+    state's bits miss the promise's clash mask."""
     table = model._table
     number = table.number(model, promise)
-    if table.bits(model, state) & table.masks[number]:
-        return None
-    return State(state.promises | {promise})
+    return not table.bits(model, state) & table.masks[number]
 
 
 def introduce(model: PromiseModel, state: State, promise: Promise) -> State:
@@ -457,14 +449,13 @@ def introduce(model: PromiseModel, state: State, promise: Promise) -> State:
     raises NotEnabled otherwise when the introduction premise fails, naming
     the first clash: conflicts before exclusiveness, then by rendered
     blocking promise."""
-    after = try_introduce(model, state, promise)
-    if after is None:
+    if not pi_enabled(model, state, promise):
         reason, blocking = min(
             ((reason, held) for held in state if (reason := clash(model, promise, held))),
             key=lambda found: (found[0], str(found[1])),
         )
         raise NotEnabled(promise, reason, blocking)
-    return after
+    return State(state.promises | {promise})
 
 
 def pw_enabled(state: State, promise: Promise) -> bool:

@@ -42,11 +42,22 @@ class TestCheck:
         assert "law violations: 0" in out
         assert err == ""
 
-    def test_delegation_warning_is_reported_but_not_fatal(self):
+    def test_delegation_warning_is_reported_but_not_fatal(self, tmp_path):
         code, out, _ = run_cli(["check", LAWS])
         assert code == 0
         assert "warnings: 1" in out
         assert "intern is subordinate to boss" in out
+        # a delegated event only inside a guard, in a definition that run
+        # never names, is still read; met once more elsewhere, it still
+        # warns once
+        header = "agent boss intern client\nsubord intern <= boss\ntype travel\ntask train : travel\n"
+        hidden = "def unused = pi(boss, train, client) + [true] -> pi(boss[intern], train, client)\n"
+        scenario = tmp_path / "hidden.promise"
+        for run in ("run pi(boss, train, client)\n", "run pi(boss[intern], train, client) || ok\n"):
+            scenario.write_text(header + hidden + run)
+            code, out, _ = run_cli(["check", str(scenario)])
+            assert code == 0
+            assert "warnings: 1\n" in out and out.count("intern is subordinate to boss") == 1
 
     def test_redundant_axiom_declaration_passes(self, tmp_path):
         scenario = tmp_path / "redundant.promise"

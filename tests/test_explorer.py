@@ -292,11 +292,10 @@ class TestBuildLts:
             assert canonical[target] is target
 
     def test_a_hand_made_configuration_is_left_as_it_was_made(self, ride, ride_events):
-        # the engine reads a configuration made by hand and writes nothing
-        # into it; a build makes its first node from the node it reads, as
-        # every other, equal to the one passed in
+        # the engine reads a configuration made by hand and keeps nothing of
+        # it; a build makes its first node from the node it reads, as every
+        # other, equal to the one passed in
         initial = Configuration(ride.entry, ride.initial_state)
-        made = [getattr(initial, name) for name in Configuration.__slots__]
         lts = build_lts(ride.model, initial)
         first_moves = [(lts._events[event], lts.nodes[target]) for event, target in lts._successors[0]]
         assert transitions(ride.model, initial) == first_moves and len(first_moves) == 2
@@ -306,8 +305,7 @@ class TestBuildLts:
             build_lts(ride.model, initial, node_limit=2)
         for first in (lts.nodes[0], exc.value.partial.nodes[0]):
             assert first == initial and hash(first) == hash(initial) and first is not initial
-        assert all(getattr(initial, name) is value for name, value in zip(Configuration.__slots__, made))
-        assert made[2:] == [None, None]  # no control point, no bits
+        assert initial.term is ride.entry and initial.state is ride.initial_state
 
 
 def _count_configurations(monkeypatch) -> list:
@@ -415,9 +413,9 @@ class TestConfigurationsMadeWhenRead:
         with pytest.raises(LimitExceeded) as exc:
             build_lts(ride.model, Configuration(ride.entry, ride.initial_state), node_limit=5)
         partial = exc.value.partial
-        assert len(partial.nodes) == 5 < len(partial._configs)
-        assert list(partial.nodes) == list(partial._configs[:5])
-        ends = {id(end) for end in partial._configs[5:]}
+        assert len(partial.nodes) == 5 < len(partial._keys)
+        assert list(partial.nodes) == [partial._config(node) for node in range(5)]
+        ends = {id(partial._config(node)) for node in range(5, len(partial._keys))}
         # every end is an edge's target, and has no edge of its own
         assert {id(target) for _, _, target in partial.edges} >= ends
         assert not ends & {id(source) for source, _, _ in partial.edges}
@@ -554,7 +552,7 @@ def _first_traces_expanding_every_prefix(lts: Lts, count: int) -> list[Trace]:
     stack = [((), {0})]
     while stack and len(traces) < count:
         prefix, nodes = stack.pop()
-        targets, ends = explorer._after(nodes, lts._successors.__getitem__, lambda node: final_outcome(lts._configs[node]))
+        targets, ends = explorer._after(nodes, lts._successors.__getitem__, lambda node: final_outcome(lts._config(node)))
         traces += [Trace(prefix, end) for end in sorted(ends, key=str)]
         stack += [(prefix + (lts._events[event],), targets[event]) for event in sorted(targets, reverse=True)]
     return traces[:count]

@@ -742,3 +742,11 @@ class TestPickling:
         [(event, config)] = set(transitions(ride_model, Configuration(act, EMPTY_STATE)))
         copy = pickle.loads(pickle.dumps(config))
         assert copy == config and copy.state == made and copy.term == DONE
+        # an engine-made configuration is a plain value: equal to, and
+        # hashed as, one made by hand of the same term and state
+        by_hand = Configuration(DONE, State(frozenset({offer})))
+        assert config == by_hand and hash(config) == hash(by_hand)
+        assert repr(config) == f"Configuration(term={DONE!r}, state={made!r})"
+        for field in ("term", "state"):
+            with pytest.raises(AttributeError):
+                setattr(config, field, None)

@@ -29,7 +29,6 @@ from promisekit.promise_state import (
     pi_enabled,
     pw_enabled,
     state_clashes,
-    try_introduce,
     withdraw,
 )
 from promisekit.task_algebra import GAMMA, UnknownAtom, all_bodies
@@ -316,7 +315,6 @@ class TestOracleAgreement:
         state = State(held)
         enabled = _intro_allowed(model, held, candidate)
         assert pi_enabled(model, state, candidate) == enabled
-        assert (try_introduce(model, state, candidate) is not None) == enabled
         if enabled:
             assert introduce(model, state, candidate) == State(held | {candidate})
         else:
@@ -381,8 +379,8 @@ class TestBitmaskDifferential:
         for promise, withdrawing in acts:
             if withdrawing and promise in state:
                 state, held = withdraw(state, promise), held - {promise}
-            elif (after := try_introduce(model, state, promise)) is not None:
-                state, held = after, held | {promise}
+            elif pi_enabled(model, state, promise):
+                state, held = introduce(model, state, promise), held | {promise}
             assert state == State(held) and hash(state) == hash(State(held))
             assert set(state) == held and len(state) == len(held) and str(state) == str(State(held))
             assert all(p in state for p in held) and (candidate in state) is (candidate in held)
@@ -390,9 +388,8 @@ class TestBitmaskDifferential:
         enabled = not any(clash(model, candidate, p) for p in held)
         assert _intro_allowed(model, held, candidate) is enabled
         assert pi_enabled(model, state, candidate) is enabled
-        after = try_introduce(model, state, candidate)
-        assert (after is not None) is enabled
         if enabled:
+            after = introduce(model, state, candidate)
             assert after == State(held | {candidate}) and after.promises == held | {candidate}
         assert state_clashes(model, state) == _pairwise_clashes(model, held)
 
@@ -410,7 +407,7 @@ class TestBitmaskDifferential:
             answers.append((
                 [pi_enabled(model, State(frozenset(promises[:i])), p) for i, p in enumerate(promises)],
                 state_clashes(model, held),
-                str(try_introduce(model, EMPTY_STATE, promises[0])),
+                str(introduce(model, EMPTY_STATE, promises[0])),
             ))
         assert tables == [promises, promises[::-1]]
         assert answers[0] == answers[1]

@@ -243,5 +243,5 @@ def test_interleavings_render_as_the_reference(text, strict):
     assert all(point._term is None for point in unbuilt)
     for point, (cached, plain) in zip(points, texts):
         assert cached == plain == render_term(_term_of(point))
-    for node in lts.nodes:
-        assert engine.texts[node._point] == render_term(node.term)
+    for node, (point, _) in zip(lts.nodes, lts._keys):
+        assert engine.texts[point] == render_term(node.term)
