@@ -221,9 +221,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if scenario is None:
         return EXIT_FAILURE
     initial = Configuration(scenario.entry, scenario.initial_state)
-    events, current = random_walk(scenario.model, initial, random.Random(args.seed))
+    events, (point, bits) = random_walk(scenario.model, initial, random.Random(args.seed))
     texts = scenario.model._engine.texts  # renders each event once, and none the walk ranked
-    outcome = final_outcome(current)
+    outcome, state = final_outcome(point), point.table.state(bits)
 
     if args.format == "json":
         _print_json(
@@ -231,13 +231,13 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "events": [texts[e] for e in events],
                 "outcome": str(outcome),
-                "final_state": sorted(str(p) for p in current.state),
+                "final_state": sorted(str(p) for p in state),
             }
         )
     else:
         lines = [texts[event] for event in events]
         lines.append(f"outcome: {outcome}")
-        lines.append(f"final state: {current.state}")
+        lines.append(f"final state: {state}")
         print("\n".join(lines))
     return EXIT_OK
 

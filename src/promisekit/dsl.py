@@ -28,7 +28,6 @@ scenarios and terms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import NoReturn
 
@@ -73,6 +72,7 @@ from .task_algebra import (
     IncompatibilityError,
     TaskBody,
     UnknownAtom,
+    value,
 )
 
 __all__ = [
@@ -203,7 +203,7 @@ def _decomment(raw: str) -> str:
 # ---------------------------------------------------------------------------
 # scenarios
 
-@dataclass(frozen=True)
+@value
 class Scenario:
     """A model, its named process definitions, the composition to run, and
     the initial promise state (empty unless ``init`` is given)."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate
 from operator import eq, itemgetter
@@ -31,6 +30,7 @@ from .process_algebra import (
     step,
 )
 from .promise_state import PromiseModel, State, _clashes
+from .task_algebra import value
 
 __all__ = [
     "Lts",
@@ -103,16 +103,17 @@ def _ordered(model: PromiseModel, node: tuple[_Point, int]) -> list[tuple]:
     return moves
 
 
-def random_walk(model: PromiseModel, initial: Configuration, rng) -> tuple[list[Event], Configuration]:
-    """A walk from ``initial`` to a configuration with no transition, and
-    its events: at each node, the move that ``rng.choice`` picks from
-    ``transitions``' list. Only the picked move's successor is made."""
+def random_walk(model: PromiseModel, initial: Configuration, rng) -> tuple[list[Event], tuple[_Point, int]]:
+    """A walk from ``initial`` to a node with no transition, and its
+    events: at each node, the move that ``rng.choice`` picks from
+    ``transitions``' list. Only the picked move's successor is made, and
+    the end is a (control point, bits) node, whose point tells how it ended."""
     node, events, successor = _locate(model, initial), [], model._engine.successor
     while moves := _ordered(model, node):
         move = rng.choice(moves)
         events.append(move[1])
         node = successor(node[0], move)
-    return events, _configuration(*node)
+    return events, node
 
 
 class _View(Sequence):
@@ -358,7 +359,7 @@ def _listing(pieces: list[tuple]) -> list[Trace]:
     return traces
 
 
-@dataclass(frozen=True)
+@value
 class Accepted:
     """Trace verdict: every event labelled an available transition."""
 
@@ -367,7 +368,7 @@ class Accepted:
     outcome: Outcome | None  # None when the trace can still be extended
 
 
-@dataclass(frozen=True)
+@value
 class Rejected:
     """Trace verdict: mismatch at ``index``; ``available`` lists the
     events that were enabled there instead."""
@@ -409,7 +410,7 @@ def verify_trace(
     return Accepted(final_state=engine.table.state(next(iter(current))[1]), maximal=bool(ends), outcome=outcome)
 
 
-@dataclass(frozen=True)
+@value
 class Violation:
     """Two promises of a reachable state that clash; ``kind`` is the
     reason, 'conflict' or 'exclusiveness'."""

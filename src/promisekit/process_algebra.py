@@ -11,7 +11,6 @@ is free interleaving only; there is no communication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .promise_state import (
@@ -30,6 +29,7 @@ from .task_algebra import (
     is_service,
     negate,
     usage,
+    value,
 )
 
 __all__ = [
@@ -75,7 +75,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # events
 
-@dataclass(frozen=True, slots=True)
+@value
 class IntroduceEvent(StoredHash):
     promiser: Agent
     body: TaskBody
@@ -85,7 +85,7 @@ class IntroduceEvent(StoredHash):
         return f"pi({self.promiser}, {self.body}, {self.promisee})"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class WithdrawEvent(StoredHash):
     promiser: Agent
     body: TaskBody
@@ -95,7 +95,7 @@ class WithdrawEvent(StoredHash):
         return f"pw({self.promiser}, {self.body}, {self.promisee})"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class GeneralizedIntroduceEvent(StoredHash):
     promiser: Agent
     performer: Agent
@@ -125,7 +125,7 @@ def event_promise(event: Event) -> Promise | GeneralizedPromise:
 # ---------------------------------------------------------------------------
 # conditions
 
-@dataclass(frozen=True, slots=True)
+@value
 class AgentVar:
     """An agent slot bound by an enclosing quantifier."""
 
@@ -138,13 +138,13 @@ class AgentVar:
 AgentRef = Union[Agent, AgentVar]
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class TrueConst:
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class FalseConst:
     def __str__(self) -> str:
         return "false"
@@ -173,7 +173,7 @@ class _Node(StoredHash):
         return (self.left, self.binding + shift), f" {self.symbol} ", (self.right, self.binding + 1 - shift)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class HasPromise:
     promiser: AgentRef
     body: TaskBody
@@ -183,7 +183,7 @@ class HasPromise:
         return f"p({self.promiser}, {self.body}, {self.promisee})"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class IsExclusive:
     body: TaskBody
 
@@ -191,7 +191,7 @@ class IsExclusive:
         return f"E({self.body})"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Not(_Node):
     operand: "Condition"
 
@@ -201,7 +201,7 @@ class Not(_Node):
         return "not ", (self.operand, self.binding)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class And(_Node):
     left: "Condition"
     right: "Condition"
@@ -209,7 +209,7 @@ class And(_Node):
     symbol, binding = "and", 3
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Or(_Node):
     left: "Condition"
     right: "Condition"
@@ -217,7 +217,7 @@ class Or(_Node):
     symbol, binding = "or", 2
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Implies(_Node):
     left: "Condition"
     right: "Condition"
@@ -225,7 +225,7 @@ class Implies(_Node):
     symbol, binding, right_assoc = "=>", 1, True
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ForAllAgents(_Node):
     """Conjunction of the body over every model agent except ``excluding``,
     with the agent bound to ``var``. The body extends as far as it can."""
@@ -460,7 +460,7 @@ def _passes(test: tuple, bits: int) -> bool:
 # ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True, slots=True)
+@value
 class Done:
     """The successfully terminated process."""
 
@@ -468,7 +468,7 @@ class Done:
         return "ok"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Deadlock:
     """The process with no behaviour at all."""
 
@@ -476,7 +476,7 @@ class Deadlock:
         return "delta"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Act(_Node):
     event: Event
 
@@ -484,7 +484,7 @@ class Act(_Node):
         return str(self.event)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Seq(_Node):
     left: "ProcessTerm"
     right: "ProcessTerm"
@@ -492,7 +492,7 @@ class Seq(_Node):
     symbol, binding = ".", 2
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Alt(_Node):
     left: "ProcessTerm"
     right: "ProcessTerm"
@@ -500,7 +500,7 @@ class Alt(_Node):
     symbol, binding = "+", 1
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Par(_Node):
     left: "ProcessTerm"
     right: "ProcessTerm"
@@ -508,7 +508,7 @@ class Par(_Node):
     symbol, binding = "||", 0
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Guard(_Node):
     """The guard prefixes the smallest term to its right."""
 
@@ -716,20 +716,21 @@ class _Engine:
         points: dict[int, _Point] = {}  # by id: the term keeps its subterms alive
         pending: list = [(term, None)]
         while pending:
-            node, operands = pending.pop()
+            node, parts = pending.pop()
             if id(node) in points:
                 continue
-            if operands is None:
-                operands = _operands(node)
-                missing = [(operand, None) for operand in operands if id(operand) not in points]
+            if parts is None:
+                parts = _operands(node)
+                missing = [(operand, None) for operand in parts[0] if id(operand) not in points]
                 if missing:
-                    pending.append((node, operands))
+                    pending.append((node, parts))
                     pending += missing
                     continue
-            points[id(node)] = self._point(model, node, [points[id(operand)] for operand in operands])
+            operands, shape = parts
+            points[id(node)] = self._point(model, node, [points[id(operand)] for operand in operands], shape)
         return points[id(term)]
 
-    def _point(self, model: PromiseModel | None, term: ProcessTerm, operands: list[_Point]) -> _Point:
+    def _point(self, model: PromiseModel | None, term: ProcessTerm, operands: list[_Point], shape) -> _Point:
         cls = term.__class__
         if cls is Seq:
             rest = None
@@ -737,7 +738,6 @@ class _Engine:
                 rest = self._cell(operand, rest)
             point = self._seq(operands[0], rest)
         elif cls is Par:
-            shape = _flatten(term)[1]
             point = self._vector(self.shapes.setdefault(shape, shape), tuple(operands))
         elif cls is Done:
             point = self.done
@@ -918,9 +918,10 @@ class _Engine:
         return moves
 
 
-def _operands(term: ProcessTerm) -> list:
-    """The subterms a term's point is made of: a sequence's whole left
-    chain, innermost first, for a sequence; the operands of an
+def _operands(term: ProcessTerm) -> tuple[list, tuple[int, ...] | None]:
+    """The subterms a term's point is made of, and the shape of an
+    interleaving (see ``_flatten``), None for any other term: a sequence's
+    whole left chain, innermost first, for a sequence; the operands of an
     interleaving's ``||`` tree that are not interleavings, in order, for
     an interleaving."""
     cls = term.__class__
@@ -931,15 +932,15 @@ def _operands(term: ProcessTerm) -> list:
             term = term.left
         chain.append(term)
         chain.reverse()
-        return chain
+        return chain, None
     if cls is Par:
-        return _flatten(term)[0]
+        return _flatten(term)
     if cls is Alt:
-        return [term.left, term.right]
+        return [term.left, term.right], None
     if cls is Guard:
-        return [term.body]
+        return [term.body], None
     if cls is Act or cls is Done or cls is Deadlock:
-        return []
+        return [], None
     raise TypeError(f"not a process term: {term!r}")
 
 

@@ -42,7 +42,9 @@ from .task_algebra import (
     build_incompatibility,
     incompatible,
     is_exclusive,
+    _put,
     parse_body,
+    value,
 )
 
 __all__ = [
@@ -72,7 +74,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Agent:
     name: str
 
@@ -89,7 +91,7 @@ class SubordinationCycle(ModelError):
     """Two distinct agents are subordinated to each other."""
 
 
-@dataclass(frozen=True)
+@value
 class SubordinationOrder:
     """Partial order on agents; ``(low, high)`` means low answers to high.
 
@@ -263,7 +265,7 @@ class PromiseModel:
         return tuple(t for t in self.types if t != COMPLIANCE_TYPE)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Promise:
     """A basic promise: promiser commits the body toward the promisee."""
 
@@ -275,7 +277,7 @@ class Promise:
         return f"{self.promiser}:{self.body}->{self.promisee}"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class GeneralizedPromise:
     """Promiser tells the promisee that the performer will do the body for
     the beneficiary. Basic promises are the diagonal case."""
@@ -299,9 +301,6 @@ class GeneralizedPromise:
             f"{self.promiser}[{self.performer}]:{self.body}"
             f"->{self.promisee}[{self.beneficiary}]"
         )
-
-
-_set = object.__setattr__  # fills fields of classes that refuse assignment
 
 
 def _ones(bits: int) -> Iterator[int]:
@@ -368,7 +367,7 @@ class _Table:
         return bits
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class State:
     """An immutable set of non-conflicting basic promises, made from any
     iterable of them. The engine holds a state as bits of a model's
@@ -377,7 +376,7 @@ class State:
     promises: frozenset[Promise] = frozenset()
 
     def __post_init__(self):
-        _set(self, "promises", frozenset(self.promises))
+        _put(self, "promises", frozenset(self.promises))
 
     def __contains__(self, promise: Promise) -> bool:
         return promise in self.promises
@@ -482,7 +481,7 @@ def introduce_generalized(model: PromiseModel, state: State, gp: GeneralizedProm
     return introduce(model, state, gp.induced())
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ObligationWarning:
     """A delegated promise whose performer answers to the promiser: the
     promise imposes an obligation on an agent meant to be autonomous."""

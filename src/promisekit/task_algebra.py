@@ -15,8 +15,9 @@ that cannot be promised by one agent to two counterparties at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from operator import attrgetter
+from types import FunctionType
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -51,34 +52,15 @@ __all__ = [
 
 
 class StoredHash:
-    """Base of the frozen, slotted dataclasses that are hashed far more
-    often than built (task bodies, events, terms, conditions,
-    configurations): the hash of the class and the fields is computed
-    once, at construction."""
+    """Base of the value classes (see ``value``) that are hashed far more
+    often than built (task bodies, events, terms, conditions): the hash of
+    the class and the fields is computed once, at construction."""
 
     __slots__ = ("_hash",)
     nests = False  # fields may hold instances of nesting classes, to any depth
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # @dataclass generates a field-by-field __hash__ and __eq__ unless
-        # the class defines them itself, so each subclass gets this __hash__,
-        # and each nesting class this __eq__, as its own
-        cls.__hash__ = StoredHash.__hash__
-        if cls.nests:
-            cls.__eq__ = StoredHash._nested_eq
-        if names := cls.__dict__.get("__annotations__"):
-            cls._fields = attrgetter("__class__", *names)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self._fields(self)))
-
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # rebuilt through the constructor, which stores the hash again
-        return self.__class__, self._fields(self)[1:]
 
     def _nested_eq(self, other) -> bool:
         """Same class and equal fields, comparing the stored hashes first.
@@ -103,7 +85,102 @@ class StoredHash:
         return True
 
 
-@dataclass(frozen=True, slots=True)
+_put = object.__setattr__  # fills fields of classes that refuse assignment
+
+
+def value(cls):
+    """``cls`` as a frozen value class of its annotated fields, as
+    ``@dataclass(frozen=True, slots=True)`` would make it, pickled through
+    its constructor; a body's own ``__slots__`` are kept beside the fields.
+    Its methods are closures and copies of templates (see ``_renamed``):
+    no source is compiled, which each fresh process would pay for."""
+    names, extra = tuple(cls.__dict__.get("__annotations__", ())), cls.__dict__.get("__slots__", ())
+    layout = {*extra, "__slots__", "__dict__", "__weakref__"}  # the old class's, which the new one makes again
+    body = {key: item for key, item in cls.__dict__.items() if key not in layout}
+    defaults, stored = tuple(body.pop(name) for name in names if name in body) or None, issubclass(cls, StoredHash)
+    qualname, fields = cls.__qualname__, attrgetter("__class__", *names)
+    post = (lambda self: _put(self, "_hash", hash(fields(self)))) if stored else body.get("__post_init__")
+    a, b, c, d, e = names + (None,) * (5 - len(names))
+    init = (  # each number of fields' __init__: ``_put`` gives None, so ``or`` goes on to the next
+        lambda self: post and post(self),
+        lambda self, _0: _put(self, a, _0) or post and post(self),
+        lambda self, _0, _1: _put(self, a, _0) or _put(self, b, _1) or post and post(self),
+        lambda self, _0, _1, _2: _put(self, a, _0) or _put(self, b, _1) or _put(self, c, _2) or post and post(self),
+        lambda self, _0, _1, _2, _3: (
+            _put(self, a, _0) or _put(self, b, _1) or _put(self, c, _2) or _put(self, d, _3) or post and post(self)
+        ),
+        lambda self, _0, _1, _2, _3, _4: (
+            _put(self, a, _0) or _put(self, b, _1) or _put(self, c, _2) or _put(self, d, _3) or _put(self, e, _4)
+            or post and post(self)
+        ),
+    )[len(names)]
+    made = dict(
+        __slots__=extra + names,
+        __match_args__=names,
+        __init__=_renamed(init, f"{qualname}.__init__", names, defaults),
+        __hash__=StoredHash.__hash__ if stored else _renamed(_HASHES[len(names)], f"{qualname}.__hash__", names),
+        __eq__=StoredHash._nested_eq if stored and cls.nests else (
+            _renamed(_EQUALS[len(names)], f"{qualname}.__eq__", names)
+        ),
+        __repr__=lambda self: f"{qualname}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})",
+        __setattr__=_refuse,
+        __delattr__=_refuse,
+        __reduce__=lambda self: (self.__class__, tuple(getattr(self, name) for name in names)),  # hashed again
+        _fields=fields,
+    )
+    return type(cls)(cls.__name__, cls.__bases__, {**made, **body})
+
+
+# each number of fields' __hash__ and __eq__, of the fields' tuples, as ``@dataclass`` writes them
+_HASHES = (
+    lambda self: hash(()),
+    lambda self: hash((self._0,)),
+    lambda self: hash((self._0, self._1)),
+    lambda self: hash((self._0, self._1, self._2)),
+    lambda self: hash((self._0, self._1, self._2, self._3)),
+    lambda self: hash((self._0, self._1, self._2, self._3, self._4)),
+)
+_EQUALS = (
+    lambda self, other: True if other.__class__ is self.__class__ else NotImplemented,
+    lambda self, other: (self._0,) == (other._0,) if other.__class__ is self.__class__ else NotImplemented,
+    lambda self, other: (
+        (self._0, self._1) == (other._0, other._1) if other.__class__ is self.__class__ else NotImplemented
+    ),
+    lambda self, other: (
+        (self._0, self._1, self._2) == (other._0, other._1, other._2)
+        if other.__class__ is self.__class__ else NotImplemented
+    ),
+    lambda self, other: (
+        (self._0, self._1, self._2, self._3) == (other._0, other._1, other._2, other._3)
+        if other.__class__ is self.__class__ else NotImplemented
+    ),
+    lambda self, other: (
+        (self._0, self._1, self._2, self._3, self._4) == (other._0, other._1, other._2, other._3, other._4)
+        if other.__class__ is self.__class__ else NotImplemented
+    ),
+)
+
+
+def _renamed(template, qualname: str, names: tuple[str, ...], defaults: tuple | None = None):
+    """A copy of a template function, named ``qualname``, whose placeholders
+    ``_0`` to ``_4``, as parameters and as attributes, are ``names``: a field
+    is given by keyword, and read as directly as in a class's own code."""
+    rename = dict(zip(("_0", "_1", "_2", "_3", "_4"), names)).get
+    code = template.__code__.replace(
+        co_names=tuple(rename(n, n) for n in template.__code__.co_names),
+        co_varnames=tuple(rename(n, n) for n in template.__code__.co_varnames),
+    )
+    function = FunctionType(code, template.__globals__, qualname.rpartition(".")[2], defaults, template.__closure__)
+    function.__qualname__ = qualname
+    return function
+
+
+def _refuse(self, name, *assigned):
+    """Assignment and deletion, which a value class refuses."""
+    raise FrozenInstanceError(f"cannot {'assign to' if assigned else 'delete'} field {name!r}")
+
+
+@value
 class TypeTag:
     """Type of a task body; only same-typed bodies may be incompatible."""
 
@@ -113,7 +190,7 @@ class TypeTag:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class TaskAtom:
     """An atomic task. Atoms are positive services by construction."""
 
@@ -124,7 +201,7 @@ class TaskAtom:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class TaskBody(StoredHash):
     """Normal form of a task body: atom plus usage and negation parities."""
 
@@ -226,7 +303,7 @@ class ReservedAtomDeclaration(IncompatibilityError):
     """The compliance atom may not be declared incompatible with anything."""
 
 
-@dataclass(frozen=True)
+@value
 class IncompatibilityRelation:
     """Symmetric, irreflexive closure of declared pairs plus every (x, !x).
 
@@ -237,7 +314,7 @@ class IncompatibilityRelation:
 
     pairs: frozenset[frozenset[TaskBody]]
     declared: frozenset[frozenset[TaskBody]]
-    partners: Mapping[TaskBody, tuple[TaskBody, ...]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("partners",)
 
     def __post_init__(self):
         partners: dict[TaskBody, list[TaskBody]] = {}
@@ -291,7 +368,7 @@ def incompatible(rel: IncompatibilityRelation, x: TaskBody, y: TaskBody) -> bool
     return y in rel.partners.get(x, ())
 
 
-@dataclass(frozen=True)
+@value
 class ExclusivenessRegistry:
     """Bodies that cannot be promised to two different counterparties at
     the same time. Each of an atom's four forms is registered separately."""

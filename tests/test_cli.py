@@ -11,10 +11,13 @@ from promisekit.cli import _build_parser
 from promisekit.corpus import corpus_path
 from promisekit.dsl import parse_scenario, parse_term
 from promisekit.explorer import Lts
+from promisekit import process_algebra
 from promisekit.process_algebra import (
     GeneralizedIntroduceEvent,
     IntroduceEvent,
+    Par,
     WithdrawEvent,
+    _Engine,
     can_terminate,
 )
 
@@ -374,6 +377,28 @@ class TestFixedCostsPaidOnce:
         walk.write_text("\n".join(events) + "\n", encoding="utf-8")
         code, out, _ = run_cli(["verify-trace", str(scenario), "--trace", str(walk), "--format", fmt])
         assert code == 0 and ("accepted" in out) and renders == {}
+
+    def test_a_walk_compiles_its_term_once_under_its_model(self, tmp_path, monkeypatch):
+        # the walk's end tells its outcome by its control point, so no term
+        # is compiled again under no model; and compiling flattens each
+        # ``||`` tree once, at its root
+        scenario = tmp_path / "offers.promise"
+        scenario.write_text(offers(3), encoding="utf-8")
+        pending, roots = [(parse_scenario(offers(3)).entry, None)], 0
+        while pending:
+            term, parent = pending.pop()
+            roots += term.__class__ is Par and parent is not Par
+            pending += [(getattr(term, side), term.__class__) for side in ("left", "right", "body") if hasattr(term, side)]
+        engines, flattened = [], []
+        make, flatten = _Engine.__init__, process_algebra._flatten
+        monkeypatch.setattr(_Engine, "__init__", lambda engine, table: engines.append(table) or make(engine, table))
+        monkeypatch.setattr(process_algebra, "_flatten", lambda term: flattened.append(term) or flatten(term))
+        for fmt in ("text", "json"):
+            engines.clear(), flattened.clear()
+            code, out, _ = run_cli(["run", str(scenario), "--seed", "3", "--format", fmt])
+            assert code == 0 and "successful" in out
+            assert len(engines) == 1  # the model's
+            assert roots == 4 and len(flattened) == len(set(map(id, flattened))) == roots
 
 
 class TestLongSequences:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import partial, reduce
 
 import pytest
@@ -501,14 +501,14 @@ def _structure(node):
     """A term or condition as nested tuples of class names and field
     values: equality by structure, without the nodes' own ``__eq__``."""
     if isinstance(node, NESTING):
-        return (type(node).__name__, *(_structure(getattr(node, f.name)) for f in fields(node)))
+        return (type(node).__name__, *(_structure(getattr(node, name)) for name in type(node).__match_args__))
     return node
 
 
 def _rebuild(node):
     """An equal copy that shares no composite part with ``node``."""
     if isinstance(node, NESTING):
-        return type(node)(*(_rebuild(getattr(node, f.name)) for f in fields(node)))
+        return type(node)(*(_rebuild(getattr(node, name)) for name in type(node).__match_args__))
     return node
 
 
