@@ -66,15 +66,10 @@ def _build_parser() -> _ArgumentParser:
     it was."""
     parser = _ArgumentParser(prog="promise", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_trace in (
-        ("check", False),
-        ("explore", False),
-        ("run", False),
-        ("verify-trace", True),
-    ):
+    for name in ("check", "explore", "run", "verify-trace"):
         p = sub.add_parser(name)
         p.add_argument("scenario", type=Path, help="scenario (.promise) file")
-        if needs_trace:
+        if name == "verify-trace":
             p.add_argument("--trace", type=Path, required=True, help="trace file to replay")
         p.add_argument(
             "--strict-conflicts",
@@ -114,10 +109,7 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
-    if scenario is None:
-        return EXIT_FAILURE
+def cmd_check(args: argparse.Namespace, scenario: Scenario) -> int:
     model = scenario.model
     violations = algebra_law_violations(model.atoms)
     violations += incompatibility_law_violations(model.atoms, model.incompatibility)
@@ -169,10 +161,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if not violations else EXIT_FAILURE
 
 
-def cmd_explore(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
-    if scenario is None:
-        return EXIT_FAILURE
+def cmd_explore(args: argparse.Namespace, scenario: Scenario) -> int:
     initial = Configuration(scenario.entry, scenario.initial_state)
     try:
         lts = build_lts(scenario.model, initial, node_limit=args.node_limit)
@@ -216,10 +205,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return EXIT_OK if not violations else EXIT_FAILURE
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
-    if scenario is None:
-        return EXIT_FAILURE
+def cmd_run(args: argparse.Namespace, scenario: Scenario) -> int:
     initial = Configuration(scenario.entry, scenario.initial_state)
     events, (point, bits) = random_walk(scenario.model, initial, random.Random(args.seed))
     texts = scenario.model._engine.texts  # renders each event once, and none the walk ranked
@@ -242,10 +228,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify_trace(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
-    if scenario is None:
-        return EXIT_FAILURE
+def cmd_verify_trace(args: argparse.Namespace, scenario: Scenario) -> int:
     trace_text = _read(args.trace)
     if trace_text is None:
         return EXIT_FAILURE
@@ -305,8 +288,11 @@ def main(argv: list[str] | None = None) -> int:
         "run": cmd_run,
         "verify-trace": cmd_verify_trace,
     }[args.command]
+    scenario = _load_scenario(args)
+    if scenario is None:
+        return EXIT_FAILURE
     try:
-        return command(args)
+        return command(args, scenario)
     except BrokenPipeError:
         # downstream closed the pipe (e.g. | head); avoid a traceback and
         # the secondary error from the interpreter's exit-time flush

@@ -12,10 +12,8 @@ runs are byte-identical.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from collections.abc import Sequence
 from functools import cached_property, partial
-from itertools import accumulate
 from operator import eq, itemgetter
 from typing import NamedTuple
 
@@ -168,12 +166,11 @@ class Lts:
         return config
 
     def _edge(self, index: int) -> tuple[Configuration, Event, Configuration]:
-        source = bisect_right(self._ends, index)  # the node whose moves hold the edge
-        moves = self._successors[source]
-        event, target = moves[index - self._ends[source] + len(moves)]
+        source, event, target = self._ids[index]
         return self._config(source), self._events[event], self._config(target)
 
-    _ends = cached_property(lambda self: list(accumulate(map(len, self._successors))))  # past each node's edges
+    # each edge as (source, event, target) ids, made at the first read of an edge
+    _ids = cached_property(lambda self: [(s, e, t) for s, moves in enumerate(self._successors) for e, t in moves])
 
 
 def build_lts(

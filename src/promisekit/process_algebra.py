@@ -653,10 +653,7 @@ class _Point:
             return list(self.parts[1])
         else:
             return []
-        for point in found:
-            if point.op is Par:
-                return [leaf for point in found for leaf in (point.parts[1] if point.op is Par else (point,))]
-        return found
+        return [leaf for point in found for leaf in (point.parts[1] if point.op is Par else (point,))]
 
 
 class _Cell:

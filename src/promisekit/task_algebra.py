@@ -93,10 +93,15 @@ def value(cls):
     ``@dataclass(frozen=True, slots=True)`` would make it, pickled through
     its constructor; a body's own ``__slots__`` are kept beside the fields.
     Its methods are closures and copies of templates (see ``_renamed``):
-    no source is compiled, which each fresh process would pay for."""
+    no source is compiled, which each fresh process would pay for. Only
+    the class's own annotations are fields, at most five, and fields with
+    a default come last."""
     names, extra = tuple(cls.__dict__.get("__annotations__", ())), cls.__dict__.get("__slots__", ())
     layout = {*extra, "__slots__", "__dict__", "__weakref__"}  # the old class's, which the new one makes again
     body = {key: item for key, item in cls.__dict__.items() if key not in layout}
+    given = [name in body for name in names]
+    if len(names) > 5 or given != sorted(given):
+        raise TypeError(f"{cls.__qualname__}: a value class has at most 5 fields, and its defaults come last")
     defaults, stored = tuple(body.pop(name) for name in names if name in body) or None, issubclass(cls, StoredHash)
     qualname, fields = cls.__qualname__, attrgetter("__class__", *names)
     post = (lambda self: _put(self, "_hash", hash(fields(self)))) if stored else body.get("__post_init__")
@@ -321,7 +326,7 @@ class IncompatibilityRelation:
         for x, y in map(tuple, self.pairs):
             partners.setdefault(x, []).append(y)
             partners.setdefault(y, []).append(x)
-        object.__setattr__(self, "partners", {x: tuple(ys) for x, ys in partners.items()})
+        _put(self, "partners", {x: tuple(ys) for x, ys in partners.items()})
 
 
 def build_incompatibility(

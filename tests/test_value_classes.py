@@ -218,3 +218,13 @@ class TestLikeADataclass:
             forged = cls(*_fields(value))
             object.__setattr__(forged, "_hash", hash(value) + 1)
             assert pickle.loads(pickle.dumps(forged))._hash == hash(value)
+
+
+def test_the_class_maker_refuses_what_it_cannot_make():
+    # five own fields at most, and a field with a default after every one without
+    five = {name: int for name in "abcde"}
+    made = task_algebra.value(type("Five", (), {"__annotations__": five, "e": 0}))
+    assert made(1, 2, 3, 4) == made(1, 2, 3, 4, 0) and made.__match_args__ == tuple(five)
+    for namespace in ({"__annotations__": {**five, "f": int}}, {"__annotations__": {"a": int, "b": int}, "a": 0}):
+        with pytest.raises(TypeError, match="at most 5 fields, and its defaults come last"):
+            task_algebra.value(type("Bad", (), namespace))
