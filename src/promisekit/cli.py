@@ -16,7 +16,7 @@ import json
 import os
 import random
 import sys
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 from .dsl import ParseError, Scenario, ValidationError, parse_scenario, parse_trace
@@ -86,23 +86,15 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _read(path: Path) -> str | None:
+def _load(path: Path, parse):
+    """The file at ``path`` given to ``parse``, or None after a one-line diagnostic."""
     try:
-        return path.read_text(encoding="utf-8-sig")
+        return parse(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
-        return None
-
-
-def _load_scenario(args: argparse.Namespace) -> Scenario | None:
-    text = _read(args.scenario)
-    if text is None:
-        return None
-    try:
-        return parse_scenario(text, strict_conflicts=args.strict_conflicts)
     except (ParseError, ValidationError) as err:
-        print(f"error: {args.scenario}: {err}", file=sys.stderr)
-        return None
+        print(f"error: {path}: {err}", file=sys.stderr)
+    return None
 
 
 def _print_json(payload: dict) -> None:
@@ -229,15 +221,9 @@ def cmd_run(args: argparse.Namespace, scenario: Scenario) -> int:
 
 
 def cmd_verify_trace(args: argparse.Namespace, scenario: Scenario) -> int:
-    trace_text = _read(args.trace)
-    if trace_text is None:
+    events = _load(args.trace, partial(parse_trace, model=scenario.model))
+    if events is None:
         return EXIT_FAILURE
-    try:
-        events = parse_trace(trace_text, scenario.model)
-    except (ParseError, ValidationError) as err:
-        print(f"error: {args.trace}: {err}", file=sys.stderr)
-        return EXIT_FAILURE
-
     initial = Configuration(scenario.entry, scenario.initial_state)
     verdict = verify_trace(scenario.model, initial, events)
     if isinstance(verdict, Accepted):
@@ -288,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         "run": cmd_run,
         "verify-trace": cmd_verify_trace,
     }[args.command]
-    scenario = _load_scenario(args)
+    scenario = _load(args.scenario, partial(parse_scenario, strict_conflicts=args.strict_conflicts))
     if scenario is None:
         return EXIT_FAILURE
     try:

@@ -401,9 +401,9 @@ def verify_trace(
             return Rejected(index=index, available=available, state=engine.table.state(next(iter(current))[1]))
         current = targets
 
-    ends = {node[0].terminates for node in current if not step(model, node)}
+    ends = {final_outcome(node[0]) for node in current if not step(model, node)}
     # successful if any terminal configuration is, None if none is terminal
-    outcome = Outcome.SUCCESSFUL if True in ends else Outcome.DEADLOCKED if ends else None
+    outcome = Outcome.SUCCESSFUL if Outcome.SUCCESSFUL in ends else next(iter(ends), None)
     return Accepted(final_state=engine.table.state(next(iter(current))[1]), maximal=bool(ends), outcome=outcome)
 
 

@@ -24,6 +24,7 @@ from .promise_state import (
 from .task_algebra import (
     StoredHash,
     TaskBody,
+    _put,
     is_exclusive,
     is_positive,
     is_service,
@@ -284,16 +285,11 @@ def _resolve(ref: AgentRef, env: dict[str, Agent]) -> Agent:
     raise UnboundVariable(f"unbound agent variable {ref.name!r}")
 
 
-def eval_condition(
-    model: PromiseModel,
-    cond: Condition,
-    state: State,
-    env: dict[str, Agent] | None = None,
-) -> bool:
-    """Evaluate a closed condition against a state: compile it under
-    ``env`` (see ``_compile``), then test the state's bits."""
+def eval_condition(model: PromiseModel, cond: Condition, state: State) -> bool:
+    """Evaluate a closed condition against a state: compile it (see
+    ``_compile``), then test the state's bits."""
     table = model._table
-    return _passes(_compile(model, table, cond, env or {}), table.bits(model, state))
+    return _passes(_compile(model, table, cond, {}), table.bits(model, state))
 
 
 # A compiled condition, a *test*, is (conj, mask, value, parts) over the
@@ -587,13 +583,13 @@ def step(model: PromiseModel, node: "tuple[_Point, int]") -> "list[tuple[int, Ev
 # A point's symbolic moves are (test, action, successor point), derived
 # once at its first step from its operands' moves; a step only evaluates
 # the test and the action against the bits of the state (see
-# ``promise_state._Table``): the action's promise and any compliance
-# premise are numbered when the move is derived, and a guard's condition
-# is compiled then into a test (see ``_compile``), conjoined with the
-# tests of the guards inside it. The test is None when it always holds,
-# and a move whose test never holds is dropped. A left
-# chain of ``.`` operands is its innermost operand and a hash-consed list
-# of the rest, so stepping along a sequence moves one place down that list.
+# ``promise_state._Table``). An action is one list, made with its point, which numbers
+# the promise and any compliance premise; every move derived from it holds it, and
+# ``_Engine.rank`` writes the event's rank into it. A guard's condition is compiled into
+# a test when its moves are derived (see ``_compile``), conjoined with the tests of the
+# guards inside it; the test is None when it always holds, and a move whose test never
+# holds is dropped. A left chain of ``.`` operands is its innermost operand and a
+# hash-consed list of the rest, so stepping along a sequence moves one place down that list.
 # An interleaving is one point for its whole ``||`` tree, as mCRL2 keeps a
 # vector of component states: the tuple of its leaves, the points of its
 # operands that are not interleavings, and the tree's shape, the number
@@ -826,11 +822,11 @@ class _Engine:
             self.points[key] = point
         return point
 
-    def _firing(self, model: PromiseModel, event: Event) -> tuple:
-        """What an action needs to fire, fixed once: (event, the flag of
-        the bit of the promise it introduces or withdraws, that bit's
-        number, the flag the state must hold first or 0, whether it
-        withdraws, its rank, None until ``rank``)."""
+    def _firing(self, model: PromiseModel, event: Event) -> list:
+        """What an action needs to fire, fixed once but for its rank: [event, the flag
+        of the bit of the promise it introduces or withdraws, that bit's number, the flag
+        the state must hold first or 0, whether it withdraws, its rank, None until
+        ``rank``], one list that every move derived from the action holds."""
         table = self.table
         needed = 0
         if isinstance(event, GeneralizedIntroduceEvent):
@@ -842,19 +838,18 @@ class _Engine:
         else:
             raise TypeError(f"not an event: {event!r}")
         number = table.number(model, promise)
-        return event, 1 << number, number, needed, event.__class__ is WithdrawEvent, None
+        return [event, 1 << number, number, needed, event.__class__ is WithdrawEvent, None]
 
     def rank(self) -> None:
-        """Rank the events of all action points in one sort of their texts,
-        equal texts alike and ranks dense, into each one's action: when the
-        explorer first orders moves, so that a replay renders none, and again once
-        a compile (``_locate``) adds an action point, dropping the derived moves."""
+        """Rank the events of all action points in one sort of their texts, equal texts
+        alike and ranks dense, written into each one's action, the list every move derived
+        from it holds (see ``_firing``): when the explorer first orders moves, so that a
+        replay renders none, and again once a compile (``_locate``) adds an action point."""
         texts = self.texts
-        rendered = {texts[point.parts[0]] for point in self.points.values() if point.op is Act}
-        ranks = {text: rank for rank, text in enumerate(sorted(rendered))}
-        for point in self.points.values():
-            action = point.moves[0][1] if point.op is Act else None
-            point.moves = None if action is None else [(None, action[:-1] + (ranks[texts[action[0]]],), self.done)]
+        actions = [point.moves[0][1] for point in self.points.values() if point.op is Act]
+        ranks = {text: rank for rank, text in enumerate(sorted({texts[action[0]] for action in actions}))}
+        for action in actions:
+            action[-1] = ranks[texts[action[0]]]
         self.ranked = True
 
     def derive(self, model: PromiseModel, point: _Point) -> list:
@@ -949,7 +944,7 @@ def _locate(model: PromiseModel, config: Configuration) -> tuple[_Point, int]:
     engine = model._engine
     if engine is None:
         engine = _Engine(model._table)
-        object.__setattr__(model, "_engine", engine)
+        _put(model, "_engine", engine)
     return engine.compile(model, config.term), engine.table.bits(model, config.state)
 
 

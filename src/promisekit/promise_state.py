@@ -222,7 +222,7 @@ class PromiseModel:
         )
 
     def __post_init__(self):
-        object.__setattr__(self, "_agents_by_name", {a.name: a for a in self.agents})
+        _put(self, "_agents_by_name", {a.name: a for a in self.agents})
         # ``create``'s relation holds every form; one made by hand may lack some: make those
         atoms = set(self.atoms)
         bodies = {(b.atom.name, b.usage, b.negated): b for b in self.incompatibility.partners if b.atom in atoms}
@@ -230,8 +230,8 @@ class PromiseModel:
             for form in ((atom.name, usage, negated) for negated in (False, True) for usage in (False, True)):
                 if form not in bodies:
                     bodies[form] = TaskBody(atom, *form[1:])
-        object.__setattr__(self, "_bodies", bodies)
-        object.__setattr__(self, "_table", _Table())
+        _put(self, "_bodies", bodies)
+        _put(self, "_table", _Table())
 
     def agent(self, name: str) -> Agent:
         if name not in self._agents_by_name:

@@ -263,6 +263,23 @@ class TestBuildLts:
         transitions(used.model, Configuration(parse_term("pw(b, x, a)", used.model), used.initial_state))
         assert run_cli(["explore", path, *mode]) == report
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["dyadic", "strict"])
+    def test_ranking_again_derives_no_move_again(self, strict, monkeypatch):
+        # ranking writes each action's rank into the one list its moves
+        # share: once a compile adds events, ranking again derives no move
+        # anew, and the next build numbers its transitions as before
+        scenario = parse_scenario(NONDETERMINISTIC.read_text(encoding="utf-8"), strict_conflicts=strict)
+        initial = Configuration(scenario.entry, scenario.initial_state)
+        first = build_lts(scenario.model, initial)
+        term = parse_term("pi(a, y, b) . pi(b, x, a) + pi(c, !y, a)", scenario.model)
+        transitions(scenario.model, Configuration(term, scenario.initial_state))
+        derived = []
+        moves = process_algebra._Engine._moves
+        monkeypatch.setattr(process_algebra._Engine, "_moves", lambda *args: derived.append(args) or moves(*args))
+        again = build_lts(scenario.model, initial)
+        assert derived == []
+        assert again._successors == first._successors
+
     @pytest.mark.parametrize(
         "text",
         [
