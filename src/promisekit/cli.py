@@ -199,9 +199,9 @@ def cmd_explore(args: argparse.Namespace, scenario: Scenario) -> int:
 
 def cmd_run(args: argparse.Namespace, scenario: Scenario) -> int:
     initial = Configuration(scenario.entry, scenario.initial_state)
-    events, (point, bits) = random_walk(scenario.model, initial, random.Random(args.seed))
+    events, end = random_walk(scenario.model, initial, random.Random(args.seed))
     texts = scenario.model._engine.texts  # renders each event once, and none the walk ranked
-    outcome, state = final_outcome(point), point.table.state(bits)
+    outcome, state = final_outcome(end), texts.table.state(end[2])
 
     if args.format == "json":
         _print_json(

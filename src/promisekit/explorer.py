@@ -21,10 +21,8 @@ from .process_algebra import (
     Act,
     Configuration,
     Event,
-    Par,
     _configuration,
     _locate,
-    _Point,
     step,
 )
 from .promise_state import PromiseModel, State, _clashes
@@ -68,17 +66,17 @@ def transitions(model: PromiseModel, config: Configuration) -> list[tuple[Event,
     """The configuration view of ``step``: a configuration's transitions,
     each once, in report order: by rendered event, successor term, state.
     Every successor is made, as a configuration."""
-    node = _locate(model, config)
-    return [(move[1], _configuration(*model._engine.successor(node[0], move))) for move in _ordered(model, node)]
+    node, successor = _locate(model, config), model._engine.successor
+    made = [(move[1], successor(node, move)) for move in _ordered(model, node)]
+    return [(event, _configuration(after[:2], after[2])) for event, after in made]
 
 
-def _ordered(model: PromiseModel, node: tuple[_Point, int]) -> list[tuple]:
-    """``transitions`` of a (control point, bits) node, as the moves
-    ``step`` gives, each transition once: by event rank (see
-    ``_Engine.rank``), and only on a tie, equal text, by rendered
-    successor. Only the moves that tie have their successors made, to
-    render them and to merge the moves that make one transition; such a
-    move holds its whole successor point, with slot None."""
+def _ordered(model: PromiseModel, node: tuple) -> list[tuple]:
+    """``transitions`` of a node (see ``step``), as the moves ``step``
+    gives, each transition once: by event rank (see ``_Engine.rank``), and
+    only on a tie, equal text, by rendered successor. Only the moves that
+    tie have their successor vectors made, to render them and to keep one
+    move of those that make one transition; no point is made."""
     moves = step(model, node)
     if len(moves) > 1:
         engine = model._engine
@@ -93,24 +91,27 @@ def _ordered(model: PromiseModel, node: tuple[_Point, int]) -> list[tuple]:
             rank = move[0]
         else:  # distinct events decide the order: no successor is made
             return moves
-        # the ranks that tie; equal events are one object, so equal tuples are one transition
+        # the ranks that tie; equal events are one object, so a rank and a successor are one transition
         tied = {move[0] for move, following in zip(moves, moves[1:]) if move[0] == following[0]}
-        point, texts = node[0], engine.texts
-        made = (move[:2] + (None,) + engine.successor(point, move) if move[0] in tied else move for move in moves)
-        moves = sorted(dict.fromkeys(made), key=lambda m: (m[0], texts[m[3]], texts[m[4]]) if m[0] in tied else m[:1])
+        successor, texts = engine.successor, engine.texts
+        made: dict[tuple, tuple] = {}  # each transition's first move, by rank, and successor on a tie
+        for move in moves:
+            made.setdefault((move[0], *successor(node, move)) if move[0] in tied else move[:1], move)
+        keys = sorted(made, key=lambda key: (key[0], texts.vector(key[1], key[2]), texts[key[3]]) if key[1:] else key)
+        moves = list(map(made.__getitem__, keys))
     return moves
 
 
-def random_walk(model: PromiseModel, initial: Configuration, rng) -> tuple[list[Event], tuple[_Point, int]]:
+def random_walk(model: PromiseModel, initial: Configuration, rng) -> tuple[list[Event], tuple]:
     """A walk from ``initial`` to a node with no transition, and its
     events: at each node, the move that ``rng.choice`` picks from
     ``transitions``' list. Only the picked move's successor is made, and
-    the end is a (control point, bits) node, whose point tells how it ended."""
+    the end is a node (see ``step``), whose leaves tell how it ended."""
     node, events, successor = _locate(model, initial), [], model._engine.successor
     while moves := _ordered(model, node):
         move = rng.choice(moves)
         events.append(move[1])
-        node = successor(node[0], move)
+        node = successor(node, move)
     return events, node
 
 
@@ -136,9 +137,9 @@ class _View(Sequence):
 
 class Lts:
     """A fully explored transition system, numbered as ``build_lts`` found
-    it: a node's id is its place in ``_keys``, the (control point, bits)
-    nodes the build reached (see ``step``), or (configuration, None) for a
-    node given as one. ``nodes`` are the first ``expanded``, in breadth-first
+    it: a node's id is its place in ``_keys``, the state vectors (shape,
+    leaves, bits) the build reached (see ``step``), or (configuration, None)
+    for a node given as one. ``nodes`` are the first ``expanded``, in breadth-first
     order; later keys are the ends that a truncated build did not expand,
     and have no transitions. ``_successors`` holds each one's transitions as
     (event id, node id), sorted by rendered event, then successor; an
@@ -161,9 +162,14 @@ class Lts:
     def _config(self, node: int) -> Configuration:
         config = self._made.get(node)
         if config is None:
-            point, bits = self._keys[node]
-            config = self._made[node] = point if bits is None else _configuration(point, bits)
+            key = self._keys[node]
+            config = self._made[node] = key[0] if key[1] is None else _configuration(key[:2], key[2])
         return config
+
+    def _outcome(self, node: int) -> "Outcome":
+        """How a run ends that stopped in the node (see ``final_outcome``)."""
+        key = self._keys[node]
+        return final_outcome(key[0] if key[1] is None else key)
 
     def _edge(self, index: int) -> tuple[Configuration, Event, Configuration]:
         source, event, target = self._ids[index]
@@ -181,52 +187,39 @@ def build_lts(
     """Breadth-first closure of ``step`` starting from ``initial``.
 
     Each successor node is made from its move here, in the loop over the
-    node's moves. A node gets its id when the search first reaches it,
-    keyed by its control point and the bits of its state. No configuration
-    is made here: ``Lts`` makes one when a node is read, as one object, so
-    every edge leads to the instance in ``nodes``, the first too, which
-    equals ``initial``. An event's id is its rank (see
-    ``_Engine.rank``), closed up when some ranked event labels no
-    transition here. Raises LimitExceeded (with the partial system
+    node's moves, a state vector (see ``_Engine.successor``), and gets its
+    id when the search first reaches it, keyed by that vector: no control
+    point is made for it. No configuration is made here: ``Lts`` makes one
+    when a node is read, as one object, so every edge leads to the instance
+    in ``nodes``, the first too, which equals ``initial``. An event's id is
+    its rank (see ``_Engine.rank``), closed up when some ranked event labels
+    no transition here. Raises LimitExceeded (with the partial system
     attached) when more than ``node_limit`` configurations are reachable;
     its ``nodes`` are the first ``node_limit``.
     """
     if node_limit <= 0:
         raise ValueError("node_limit must be positive")
     start = _locate(model, initial)
-    ids = {start: 0}  # each (control point, bits) reached, to its id
+    ids = {start: 0}  # each vector reached, to its id
     nodes = [start]  # by id, and the queue: the search expands them in order
     successors: list[list[tuple[int, int]]] = []
     labels: dict[int, Event] = {}  # the event of each rank that labels a transition
     engine = model._engine
     if not engine.ranked:  # the ids are ranks
         engine.rank()
-    points, vector, replace = engine.points, engine._vector, engine.replace
+    successor = engine.successor
     for node in nodes:
         if len(successors) == node_limit:
             break
-        point = node[0]
-        if point.op is Par:
-            shape, leaves = point.parts
-            row = list(leaves)
         moves = []
-        for rank, event, slot, successor, after in _ordered(model, node):
-            if slot is not None:  # the successor of a leaf: put it in its slot
-                if successor.op is Par:
-                    successor = replace(point, slot, successor)
-                else:  # ``replace`` inlined, on one copy of the leaves per node:
-                    # a call per move costs an offers build about 8%
-                    row[slot] = successor
-                    key = (shape, tuple(row))
-                    row[slot] = leaves[slot]
-                    successor = points.get(key) or vector(*key)
-            key = (successor, after)
+        for move in _ordered(model, node):
+            key = successor(node, move)
             target = ids.get(key)
             if target is None:
                 target = ids[key] = len(nodes)
                 nodes.append(key)
-            labels[rank] = event
-            moves.append((rank, target))
+            labels[move[0]] = move[1]
+            moves.append((move[0], target))
         successors.append(moves)
     successors += [[] for _ in range(len(nodes) - len(successors))]  # ends past the limit
     ranks = sorted(labels)
@@ -257,11 +250,12 @@ class Trace(NamedTuple):
         return "\n".join(str(event) for event in self.events)
 
 
-def final_outcome(config: Configuration | _Point) -> Outcome:
-    """How a run ends that stopped in ``config``, or in a node of this
-    control point: successful when its term can terminate, deadlocked
-    otherwise."""
-    return Outcome.SUCCESSFUL if config.terminates else Outcome.DEADLOCKED
+def final_outcome(config: Configuration | tuple) -> Outcome:
+    """How a run ends that stopped in ``config``, or in a node (see
+    ``step``): successful when its term can terminate, a node's when every
+    leaf can, deadlocked otherwise."""
+    ends = config.terminates if config.__class__ is Configuration else all(leaf.terminates for leaf in config[1])
+    return Outcome.SUCCESSFUL if ends else Outcome.DEADLOCKED
 
 
 def _after(nodes, successors, outcome) -> tuple[dict, set[Outcome]]:
@@ -298,10 +292,7 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     report order, under its own events. The walk keeps only a count and pieces
     (see ``_listing``): past the cap, no trace is made until ``partial`` is read.
     """
-    events, successors, keys = lts._events, lts._successors.__getitem__, lts._keys
-
-    def outcome(node: int) -> Outcome:
-        return final_outcome(keys[node][0])
+    events, successors, outcome = lts._events, lts._successors.__getitem__, lts._outcome
 
     # a depth-first walk on an explicit stack, so that no recursion limit
     # bounds the trace length. A frame is a set of nodes being listed: an
@@ -383,28 +374,28 @@ def verify_trace(
     """Replay an event sequence against the step semantics.
 
     The same event may label transitions into different terms, so the
-    replay tracks every configuration the prefix can reach, as (control
-    point, bits); the promise state is identical across them because it
+    replay tracks every configuration the prefix can reach, as a node (see
+    ``step``); the promise state is identical across them because it
     is a function of the events. Of the moves ``step`` gives, only those
     labelled by the trace's next event are made into nodes.
     """
     current = {_locate(model, initial)}
     engine = model._engine
     for index, wanted in enumerate(events):
-        found = [(node[0], step(model, node)) for node in current]
+        found = [(node, step(model, node)) for node in current]
         # equal events are one action point, whose event the moves hold
         action = engine.points.get((Act, wanted))
         event = action.parts[0] if action is not None else None
-        targets = {engine.successor(point, move) for point, moves in found for move in moves if move[1] is event}
+        targets = {engine.successor(node, move) for node, moves in found for move in moves if move[1] is event}
         if not targets:
             available = tuple(sorted({move[1] for _, moves in found for move in moves}, key=str))
-            return Rejected(index=index, available=available, state=engine.table.state(next(iter(current))[1]))
+            return Rejected(index=index, available=available, state=engine.table.state(next(iter(current))[2]))
         current = targets
 
-    ends = {final_outcome(node[0]) for node in current if not step(model, node)}
+    ends = {final_outcome(node) for node in current if not step(model, node)}
     # successful if any terminal configuration is, None if none is terminal
     outcome = Outcome.SUCCESSFUL if Outcome.SUCCESSFUL in ends else next(iter(ends), None)
-    return Accepted(final_state=engine.table.state(next(iter(current))[1]), maximal=bool(ends), outcome=outcome)
+    return Accepted(final_state=engine.table.state(next(iter(current))[2]), maximal=bool(ends), outcome=outcome)
 
 
 @value
@@ -428,8 +419,8 @@ def check_invariants(model: PromiseModel, lts: Lts) -> list[Violation]:
     a node made by hand is located, and only nodes that clash are made."""
     table, nodes = model._table, lts.nodes
     states = [
-        bits if bits is not None and point.table is table else _locate(model, nodes[node])[1]
-        for node, (point, bits) in enumerate(lts._keys[: len(nodes)])
+        key[2] if key[1] is not None and key[1][0].table is table else _locate(model, nodes[node])[2]
+        for node, key in enumerate(lts._keys[: len(nodes)])
     ]
     clashes = {bits: _clashes(model, bits) for bits in set(states)}
     return [
@@ -441,9 +432,9 @@ def check_invariants(model: PromiseModel, lts: Lts) -> list[Violation]:
 
 def find_deadlocks(lts: Lts) -> list[Configuration]:
     """Terminal configurations that cannot terminate successfully: only these are made."""
-    keys, successors, nodes = lts._keys, lts._successors, lts.nodes
+    successors, nodes = lts._successors, lts.nodes
     return [
         nodes[node]
         for node in range(len(nodes))
-        if not successors[node] and final_outcome(keys[node][0]) is Outcome.DEADLOCKED
+        if not successors[node] and lts._outcome(node) is Outcome.DEADLOCKED
     ]

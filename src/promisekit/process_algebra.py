@@ -546,21 +546,20 @@ def can_terminate(term: ProcessTerm) -> bool:
     return _Engine(_Table()).compile(None, term).terminates
 
 
-def step(model: PromiseModel, node: "tuple[_Point, int]") -> "list[tuple[int, Event, int | None, _Point, int]]":
-    """The moves of a node, a (control point of the model's engine, bits)
-    pair: its point's symbolic moves whose guards' compiled test the bits
-    pass and whose action is enabled there (an introduction when the bits
-    miss its promise's clash mask, a withdrawal when they hold its
-    promise), as (event rank, event, slot, successor point, successor
-    bits) (see ``_Engine.rank``). No node is made: an interleaving's moves
-    are its leaves', with the leaf's slot and successor, and any other
-    point's have slot None (see ``_Engine.successor``).
-    ``explorer.transitions`` is the view of configurations, where two
-    moves may make one transition."""
-    point, bits = node
-    masks = point.table.masks
+def step(model: PromiseModel, node: tuple) -> "list[tuple[int, Event, int, _Point, int]]":
+    """The moves of a node, a state vector (shape, leaves, bits) of the
+    model's engine (see ``_locate``): each leaf's symbolic moves whose
+    guards' compiled test the bits pass and whose action is enabled there
+    (an introduction when the bits miss its promise's clash mask, a
+    withdrawal when they hold its promise), as (event rank, event, slot,
+    successor point, successor bits) (see ``_Engine.rank``). No node is
+    made: the successor node puts the successor point in the leaf's slot
+    (see ``_Engine.successor``). ``explorer.transitions`` is the view of
+    configurations, where two moves may make one transition."""
+    _, leaves, bits = node
+    masks = leaves[0].table.masks
     found = []
-    for slot, leaf in enumerate(point.parts[1]) if point.op is Par else ((None, point),):
+    for slot, leaf in enumerate(leaves):
         moves = leaf.moves if leaf.moves is not None else model._engine.derive(model, leaf)
         for test, (event, flag, number, needed, withdraws, rank), successor in moves:
             if test is not None and not _passes(test, bits):
@@ -595,11 +594,11 @@ def step(model: PromiseModel, node: "tuple[_Point, int]") -> "list[tuple[int, Ev
 # operands that are not interleavings, and the tree's shape, the number
 # of joins that close after each leaf in postfix order (see ``_flatten``).
 # It keeps no moves: its leaves' moves, each derived once per leaf point,
-# are its own, and a step makes a move's successor by replacing the leaf's
-# slot and looking the result up. A leaf that steps into an interleaving
-# is spliced in, leaves and shape, so that an interleaving has one point
-# however it was reached: compiled, or stepped to under ``.``, ``+`` or a
-# guard, whose moves are made from an interleaving's in the same way.
+# are its own. A node of a search is a state vector, (shape, leaves, bits), as SPIN
+# and mCRL2 store one, ((0,), (point,), bits) for any other point: a move of a leaf
+# leads to one splice of the leaf tuple (``_Engine.splice``), which splices in a
+# successor interleaving's leaves and shape, and interns no point. An interleaving
+# stepped to under ``.``, ``+`` or a guard is interned (``_Engine.replace``).
 
 
 class _Point:
@@ -645,8 +644,6 @@ class _Point:
             found = [self.parts[1]]
         elif op is Alt:
             found = list(self.parts)
-        elif op is Par:
-            return list(self.parts[1])
         else:
             return []
         return [leaf for point in found for leaf in (point.parts[1] if point.op is Par else (point,))]
@@ -675,12 +672,14 @@ class _Renderings(dict):
     def __missing__(self, item) -> str:
         if item.__class__ is tuple:
             text = _joined(item)
-        elif item.__class__ is _Point and item.op is Par:
-            text = self[item.parts[0]].format(*map(self.__getitem__, item.parts[1]))
         else:
             text = str(self.table.state(item) if item.__class__ is int else item)
         self[item] = text
         return text
+
+    def vector(self, shape: tuple, leaves: tuple) -> str:
+        """The text of a vector's term, from its shape's and leaves' texts: not kept."""
+        return self[shape].format(*map(self.__getitem__, leaves))
 
 
 class _Engine:
@@ -769,26 +768,29 @@ class _Engine:
             point = self.points[key] = _Point(Par, key, terminates, self.table)
         return point
 
-    def replace(self, point: _Point, slot: int, successor: _Point) -> _Point:
-        """The interleaving ``point`` with the leaf at ``slot`` replaced by
+    def splice(self, shape: tuple, leaves: tuple, slot: int, successor: _Point) -> tuple[tuple, tuple]:
+        """The vector (shape, leaves) with the leaf at ``slot`` replaced by
         ``successor``. An interleaving's leaves and shape take the slot's
         place, and the joins that closed after the slot close after its
-        last leaf."""
-        shape, leaves = point.parts
+        last leaf; the shape is looked up, and nothing else."""
         if successor.op is Par:
             inner, spliced = successor.parts
             shape = shape[:slot] + inner[:-1] + (inner[-1] + shape[slot],) + shape[slot + 1 :]
-            shape = self.shapes.setdefault(shape, shape)
-        else:
-            spliced = (successor,)
-        key = (shape, leaves[:slot] + spliced + leaves[slot + 1 :])
-        return self.points.get(key) or self._vector(*key)
+            return self.shapes.setdefault(shape, shape), leaves[:slot] + spliced + leaves[slot + 1 :]
+        row = list(leaves)  # a copy: faster than slices and a join
+        row[slot] = successor
+        return shape, tuple(row)
 
-    def successor(self, point: _Point, move: tuple) -> tuple[_Point, int]:
-        """The node that a move of ``point`` (see ``step``) leads to: its
-        successor point, put in the move's slot of an interleaving."""
-        slot, successor = move[2], move[3]
-        return (successor if slot is None else self.replace(point, slot, successor)), move[4]
+    def replace(self, point: _Point, slot: int, successor: _Point) -> _Point:
+        """The interleaving ``point`` with the leaf at ``slot`` replaced by
+        ``successor`` (see ``splice``), as a point."""
+        return self._vector(*self.splice(*point.parts, slot, successor))
+
+    def successor(self, node: tuple, move: tuple) -> tuple:
+        """The node that a move of ``node`` (see ``step``) leads to: the move's
+        successor point spliced into its slot (see ``splice``), and its bits."""
+        shape, leaves = self.splice(node[0], node[1], move[2], move[3])
+        return shape, leaves, move[4]
 
     def _cell(self, first: _Point, rest: _Cell | None) -> _Cell:
         key = (first, rest)
@@ -936,20 +938,24 @@ def _operands(term: ProcessTerm) -> tuple[list, tuple[int, ...] | None]:
     raise TypeError(f"not a process term: {term!r}")
 
 
-def _locate(model: PromiseModel, config: Configuration) -> tuple[_Point, int]:
+def _locate(model: PromiseModel, config: Configuration) -> tuple:
     """The node of a configuration (see ``step``): its term compiled into
-    the model's engine, made at the model's first step, and its state's bits
-    in the model's table. Compiling is hash-consed, so a configuration that
-    the engine made finds the point it was made from."""
+    the model's engine, made at the model's first step, as a vector, and
+    its state's bits in the model's table. Compiling is hash-consed, so a
+    configuration that the engine made finds the vector it was made from."""
     engine = model._engine
     if engine is None:
         engine = _Engine(model._table)
         _put(model, "_engine", engine)
-    return engine.compile(model, config.term), engine.table.bits(model, config.state)
+    point = engine.compile(model, config.term)
+    shape, leaves = point.parts if point.op is Par else ((0,), (point,))
+    return shape, leaves, engine.table.bits(model, config.state)
 
 
-def _configuration(point: _Point, bits: int) -> Configuration:
-    return Configuration(_term_of(point), point.table.state(bits))
+def _configuration(vector: tuple, bits: int) -> Configuration:
+    """The configuration of a node's (shape, leaves) and bits."""
+    shape, leaves = vector
+    return Configuration(_nested(Par, shape, list(map(_term_of, leaves))), leaves[0].table.state(bits))
 
 
 def _term_of(point: _Point) -> ProcessTerm:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import random
 import re
 import tracemalloc
 import weakref
@@ -437,6 +438,39 @@ class TestConfigurationsMadeWhenRead:
         assert {id(target) for _, _, target in partial.edges} >= ends
         assert not ends & {id(source) for source, _, _ in partial.edges}
         assert len(partial.edges) == sum(map(len, partial._successors[:5]))
+
+
+class TestStateVectors:
+    """A node of a search is its state vector, (shape, leaves, bits): a
+    build or a walk keeps no control point for it."""
+
+    def test_a_build_interns_no_point_per_node(self):
+        # on a fresh model, the build adds no interleaving point beyond those
+        # that compiling the entry and deriving every point's moves make
+        scenario = parse_scenario(_benchmark_offers(1, 4))
+        model, initial = scenario.model, Configuration(scenario.entry, scenario.initial_state)
+        process_algebra._locate(model, initial)
+        engine, count = model._engine, 0
+        while count != len(engine.points):  # deriving may make points with moves to derive
+            count = len(engine.points)
+            for point in [point for point in engine.points.values() if point.op is not Par]:
+                engine.derive(model, point)
+        interleavings = [point for point in engine.points.values() if point.op is Par]
+        lts = build_lts(model, initial)
+        assert (len(lts.nodes), len(lts.edges)) == (2_160, 8_640)
+        assert [point for point in engine.points.values() if point.op is Par] == interleavings
+
+    def test_a_walk_through_ties_keeps_nothing(self):
+        # 30 copies of one action tie at every step: each tied successor is
+        # rendered from its vector to order the moves, and none is kept
+        text = "agent a b\ntype t\ntask g : t\nrun " + " || ".join(["pi(a, g, b)"] * 30) + "\n"
+        scenario = parse_scenario(text)
+        model, initial = scenario.model, Configuration(scenario.entry, scenario.initial_state)
+        process_algebra._locate(model, initial)
+        count = len(model._engine.points)
+        events, _ = explorer.random_walk(model, initial, random.Random(0))
+        assert len(events) == 30
+        assert len(model._engine.points) == count
 
 
 class TestModelBodies:

@@ -243,5 +243,9 @@ def test_interleavings_render_as_the_reference(text, strict):
     assert all(point._term is None for point in unbuilt)
     for point, (cached, plain) in zip(points, texts):
         assert cached == plain == render_term(_term_of(point))
-    for node, (point, _) in zip(lts.nodes, lts._keys):
-        assert engine.texts[point] == render_term(node.term)
+    # a node is a state vector: its text is rendered from its shape and
+    # leaves before any node's term is built
+    vectors = [engine.texts.vector(shape, leaves) for shape, leaves, _ in lts._keys]
+    assert lts._made == {}
+    for node, text in zip(lts.nodes, vectors):
+        assert text == render_term(node.term)
