@@ -25,6 +25,7 @@ from .explorer import (
     DEFAULT_TRACE_LIMIT,
     Accepted,
     LimitExceeded,
+    Outcome,
     build_lts,
     check_invariants,
     final_outcome,
@@ -185,10 +186,12 @@ def cmd_explore(args: argparse.Namespace, scenario: Scenario) -> int:
         )
     else:
         lines = [f"nodes: {len(lts.nodes)}", f"edges: {len(lts.edges)}", f"traces: {len(traces)}"]
-        indented = {event: f"  {texts[event]}" for event in lts._events}
+        # by id, so that no line hashes its event or formats its outcome: the traces hold lts._events
+        indented = {id(event): f"  {texts[event]}" for event in lts._events}
+        headers = {id(outcome): f" ({outcome}):" for outcome in Outcome}
         for number, (events, outcome) in enumerate(traces, start=1):
-            lines.append(f"trace {number} ({outcome}):")
-            lines += map(indented.__getitem__, events)
+            lines.append(f"trace {number}{headers[id(outcome)]}")
+            lines += map(indented.__getitem__, map(id, events))
         lines.append(f"deadlocks: {len(deadlocks)}")
         lines += [f"  {node.state} with {node.term}" for node in deadlocks]
         lines.append(f"violations: {len(violations)}")

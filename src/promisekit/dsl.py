@@ -72,6 +72,7 @@ from .task_algebra import (
     IncompatibilityError,
     TaskBody,
     UnknownAtom,
+    body_form,
     value,
 )
 
@@ -361,23 +362,28 @@ def _parse_body(stream: _Stream, model: PromiseModel) -> TaskBody:
 
 def _agent(stream: _Stream, model: PromiseModel) -> Agent:
     _, name, column = stream.expect_name("an agent name")
-    if not model.has_agent(name):
+    agent = model._agents_by_name.get(name)
+    if agent is None:
         raise ValidationError(f"line {stream.line}, column {column}: unknown agent {name!r}")
-    return model.agent(name)
+    return agent
 
 
 def _plain_event(match: re.Match, model: PromiseModel) -> Event | None:
     """The event of a match of ``_EVENT_RE``, or None when the model lacks
-    one of its names."""
-    head, promiser, prefixes, atom, promisee = match.groups()
-    if not (model.has_agent(promiser) and model.has_agent(promisee)):
-        return None
-    try:
-        body = model.body(prefixes + atom)
-    except UnknownAtom:
-        return None
-    event = IntroduceEvent if head == "pi" else WithdrawEvent
-    return event(model.agent(promiser), body, model.agent(promisee))
+    one of its names. A plain event is resolved once per model: the model
+    keeps each one found by the match's five groups, so a trace line is the
+    very object of its scenario's plain event of that text. A miss is not kept."""
+    parts = match.groups()
+    event = model._events.get(parts)
+    if event is None:
+        head, promiser, prefixes, atom, promisee = parts
+        agents = model._agents_by_name
+        promiser, promisee = agents.get(promiser), agents.get(promisee)
+        body = model._bodies.get(body_form(prefixes + atom))
+        if promiser is None or body is None or promisee is None:
+            return None
+        event = model._events[parts] = (IntroduceEvent if head == "pi" else WithdrawEvent)(promiser, body, promisee)
+    return event
 
 
 def _parse_event(stream: _Stream, model: PromiseModel) -> Event:
@@ -503,11 +509,10 @@ def _parse_condition(stream: _Stream, model: PromiseModel) -> Condition:
 
 def _agent_ref(stream: _Stream, model: PromiseModel, bound: dict[str, int]):
     _, name, column = stream.expect_name("an agent or quantifier variable")
-    if name in bound:
-        return AgentVar(name)
-    if model.has_agent(name):
-        return model.agent(name)
-    raise ValidationError(f"line {stream.line}, column {column}: unknown agent {name!r}")
+    agent = AgentVar(name) if name in bound else model._agents_by_name.get(name)
+    if agent is None:
+        raise ValidationError(f"line {stream.line}, column {column}: unknown agent {name!r}")
+    return agent
 
 
 def _condition_primary(stream: _Stream, model: PromiseModel, bound: dict[str, int]) -> Condition:

@@ -828,18 +828,18 @@ class _Engine:
         """What an action needs to fire, fixed once but for its rank: [event, the flag
         of the bit of the promise it introduces or withdraws, that bit's number, the flag
         the state must hold first or 0, whether it withdraws, its rank, None until
-        ``rank``], one list that every move derived from the action holds."""
+        ``rank``], one list that every move derived from the action holds. A basic
+        action's promise is numbered from the event's fields, with no ``Promise`` made;
+        a parsed plain event is one object per model (see ``dsl._plain_event``)."""
         table = self.table
-        needed = 0
         if isinstance(event, GeneralizedIntroduceEvent):
             gp = event_promise(event)
-            promise = gp.induced()
             needed = 1 << table.number(model, gp.compliance())
+            number = table.number(model, gp.induced())
         elif isinstance(event, (IntroduceEvent, WithdrawEvent)):
-            promise = event_promise(event)
+            needed, number = 0, table.number_of(model, event.promiser, event.body, event.promisee)
         else:
             raise TypeError(f"not an event: {event!r}")
-        number = table.number(model, promise)
         return [event, 1 << number, number, needed, event.__class__ is WithdrawEvent, None]
 
     def rank(self) -> None:

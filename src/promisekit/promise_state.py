@@ -145,10 +145,12 @@ class PromiseModel:
     exclusiveness: ExclusivenessRegistry
     strict_conflicts: bool = False
     # agents by name; every body of every atom, made once, by (atom name,
-    # usage, negated); and the numbered promises, made with the model
+    # usage, negated); the numbered promises, made with the model; and the
+    # plain events the parser found, by their texts' parts (see ``dsl._plain_event``)
     _agents_by_name: Mapping[str, Agent] = field(init=False, repr=False, compare=False)
     _bodies: Mapping[tuple[str, bool, bool], TaskBody] = field(init=False, repr=False, compare=False)
     _table: _Table = field(init=False, repr=False, compare=False)
+    _events: dict[tuple[str, ...], object] = field(init=False, repr=False, compare=False)
     # the compiled terms of the process engine (``process_algebra._Engine``),
     # made at the first step under this model
     _engine: object = field(default=None, init=False, repr=False, compare=False)
@@ -232,14 +234,12 @@ class PromiseModel:
                     bodies[form] = TaskBody(atom, *form[1:])
         _put(self, "_bodies", bodies)
         _put(self, "_table", _Table())
+        _put(self, "_events", {})
 
     def agent(self, name: str) -> Agent:
         if name not in self._agents_by_name:
             raise ModelError(f"unknown agent {name!r}")
         return self._agents_by_name[name]
-
-    def has_agent(self, name: str) -> bool:
-        return name in self._agents_by_name
 
     def body(self, text: str) -> TaskBody:
         """The model's own object for the body the text names."""

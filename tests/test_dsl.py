@@ -562,3 +562,69 @@ class TestEventFastPath:
         )
         assert parse_trace("pi(a, ~x, b)\n", GEN_MODEL) == [term.left.event]
         assert read == ["pi(a, ~x, b)", "pw( b ,!~y, a)", "pi(a, ~x, b)"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _term_events(term) -> list:
+    """The events of a term's actions, in the order written."""
+    found, pending = [], [term]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Act):
+            found.append(node.event)
+        else:
+            pending += reversed([getattr(node, name) for name in ("left", "right", "body") if hasattr(node, name)])
+    return found
+
+
+class TestEventTable:
+    """A plain event is resolved once per model: a second read of the same
+    text under the model gives the same object."""
+
+    def test_a_trace_replays_the_scenarios_own_events(self):
+        # 200 plain events, each written once in the run line and once in the trace
+        scenario = parse_scenario((GOLDEN / "deep_sequential.promise").read_text())
+        events = parse_trace((GOLDEN / "deep_sequential_trace.txt").read_text(), scenario.model)
+        assert len(events) == 200
+        assert [id(event) for event in events] == [id(event) for event in _term_events(scenario.entry)]
+
+    def test_a_trace_read_twice_gives_the_same_objects(self):
+        # jub.promise's events are made by protocol(...), not read as text:
+        # the first read of the trace resolves each line, the second finds it
+        scenario = parse_scenario(corpus_text("jub.promise"))
+        first = parse_trace(corpus_text("jub_trace.txt"), scenario.model)
+        again = parse_trace(corpus_text("jub_trace.txt"), scenario.model)
+        assert list(map(id, again)) == list(map(id, first))
+        assert set(first) <= set(_term_events(scenario.entry))
+
+    def test_another_model_has_equal_events_of_its_own(self):
+        text = corpus_text("jub_trace.txt")
+        first = parse_trace(text, parse_scenario(corpus_text("jub.promise")).model)
+        second = parse_trace(text, parse_scenario(corpus_text("jub.promise")).model)
+        assert first == second
+        assert not {id(event) for event in first} & {id(event) for event in second}
+
+    def test_cancelling_prefixes_give_equal_events(self):
+        model = PromiseModel.create(agents=("a", "b"), types=("t",), atoms={"x": "t"})
+        plain, doubled = parse_trace("pi(a, ~x, b)\npi(a, !!~x, b)\n", model)
+        assert plain == doubled and plain.body is doubled.body
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("pi(zz, x, b)", "line 2, column 4: unknown agent 'zz'"),
+            ("pi(a, x, zz)", "line 2, column 10: unknown agent 'zz'"),
+            ("pw(a, !q, b)", "line 2, column 7: unknown task atom 'q'"),
+        ],
+    )
+    def test_unknown_names_keep_their_diagnostics(self, line, message):
+        model = PromiseModel.create(agents=("a", "b"), types=("t",), atoms={"x": "t"})
+        text = f"pi(a, x, b)\n{line}\n"
+        for filled in (False, True):
+            with pytest.raises(ValidationError) as exc:
+                parse_trace(text, model)
+            assert str(exc.value) == message, filled
+            assert not any({"zz", "q"} & set(parts) for parts in model._events)  # a miss is not kept
+            parse_term("pi(a, x, b) . pw(a, x, b) . pi(b, ~x, a)", model)
