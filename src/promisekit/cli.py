@@ -158,23 +158,21 @@ def cmd_explore(args: argparse.Namespace, scenario: Scenario) -> int:
     initial = Configuration(scenario.entry, scenario.initial_state)
     try:
         lts = build_lts(scenario.model, initial, node_limit=args.node_limit)
-        traces = maximal_traces(lts, max_traces=args.max_traces)
+        texts = map(scenario.model._engine.texts.__getitem__, lts._events)  # the build rendered each event once
+        labels = list(texts) if args.format == "json" else [f"  {text}" for text in texts]
+        traces = maximal_traces(lts, max_traces=args.max_traces, labels=labels)  # each event's line, as printed
     except LimitExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_LIMIT
     violations = check_invariants(scenario.model, lts)
     deadlocks = find_deadlocks(lts)
-    texts = scenario.model._engine.texts  # the build ranked, and so rendered, every event once
 
     if args.format == "json":
         _print_json(
             {
                 "nodes": len(lts.nodes),
                 "edges": len(lts.edges),
-                "traces": [
-                    {"events": [texts[e] for e in t.events], "outcome": str(t.outcome)}
-                    for t in traces
-                ],
+                "traces": [{"events": list(t.events), "outcome": str(t.outcome)} for t in traces],
                 "deadlocks": [
                     {"state": str(node.state), "term": str(node.term)} for node in deadlocks
                 ],
@@ -186,12 +184,10 @@ def cmd_explore(args: argparse.Namespace, scenario: Scenario) -> int:
         )
     else:
         lines = [f"nodes: {len(lts.nodes)}", f"edges: {len(lts.edges)}", f"traces: {len(traces)}"]
-        # by id, so that no line hashes its event or formats its outcome: the traces hold lts._events
-        indented = {id(event): f"  {texts[event]}" for event in lts._events}
-        headers = {id(outcome): f" ({outcome}):" for outcome in Outcome}
+        headers = {id(outcome): f" ({outcome}):" for outcome in Outcome}  # by id: no outcome is hashed or formatted
         for number, (events, outcome) in enumerate(traces, start=1):
             lines.append(f"trace {number}{headers[id(outcome)]}")
-            lines += map(indented.__getitem__, map(id, events))
+            lines += events
         lines.append(f"deadlocks: {len(deadlocks)}")
         lines += [f"  {node.state} with {node.term}" for node in deadlocks]
         lines.append(f"violations: {len(violations)}")

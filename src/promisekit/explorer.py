@@ -241,7 +241,7 @@ class Outcome(enum.Enum):
 
 
 class Trace(NamedTuple):
-    """A maximal run: its events in order, and how it ended."""
+    """A maximal run: its events in order, or their labels (see ``maximal_traces``), and how it ended."""
 
     events: tuple[Event, ...]
     outcome: Outcome
@@ -277,7 +277,7 @@ def _after(nodes, successors, outcome) -> tuple[dict, set[Outcome]]:
     return targets, ends
 
 
-def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trace]:
+def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT, *, labels: Sequence | None = None) -> list[Trace]:
     """Every event sequence from the initial node to a terminal node.
 
     Distinct paths yielding the same (events, outcome) pair collapse to
@@ -291,14 +291,16 @@ def maximal_traces(lts: Lts, max_traces: int = DEFAULT_TRACE_LIMIT) -> list[Trac
     traces below it, and every later one replays that listing, already in
     report order, under its own events. The walk keeps only a count and pieces
     (see ``_listing``): past the cap, no trace is made until ``partial`` is read.
+    Traces hold the labels they are given, ``labels[e]`` for event id ``e`` (by default
+    ``lts._events``, the events): a replayed trace copies them, so each label is one object.
     """
-    events, successors, outcome = lts._events, lts._successors.__getitem__, lts._outcome
+    events, successors, outcome = (lts._events if labels is None else labels), lts._successors.__getitem__, lts._outcome
 
     # a depth-first walk on an explicit stack, so that no recursion limit
     # bounds the trace length. A frame is a set of nodes being listed: an
     # iterator over its events, the nodes each leads to, the set, the place
-    # of its first trace and its prefix length; ``path`` is the prefix
-    path: list[Event] = []
+    # of its first trace and its prefix length; ``path`` is the prefix, as labels
+    path: list = []
     frames: list[tuple] = []
     pieces, count = [], 0  # what the walk lists (see ``_listing``), and how many traces
     # each set of nodes listed: the traces below it are traces[first:end],
@@ -338,12 +340,13 @@ def _listing(pieces: list[tuple]) -> list[Trace]:
     """The traces of ``maximal_traces``'s pieces: (prefix, outcomes), one per outcome, and (prefix,
     first, end, depth), ``traces[first:end]`` with their first ``depth`` events replaced by prefix."""
     traces: list[Trace] = []
+    new = tuple.__new__  # a Trace made as the tuple it is, without NamedTuple's Python-level __new__
     for piece in pieces:
         if len(piece) == 2:
-            traces += [Trace(piece[0], end) for end in piece[1]]
+            traces += [new(Trace, (piece[0], end)) for end in piece[1]]
         else:
             prefix, first, end, depth = piece
-            traces += [Trace(prefix + old.events[depth:], old.outcome) for old in traces[first:end]]
+            traces += [new(Trace, (prefix + events[depth:], outcome)) for events, outcome in traces[first:end]]
     return traces
 
 

@@ -166,6 +166,24 @@ class TestExplore:
         second = run_cli(["explore", JUB])
         assert first == second
 
+    @pytest.mark.parametrize("mode", [[], ["--strict-conflicts"]], ids=["dyadic", "strict"])
+    @pytest.mark.parametrize(
+        "term, outcome, ends", [("delta", "deadlocked", ["  {} with delta"]), ("ok", "successful", [])]
+    )
+    def test_a_trace_of_no_events(self, tmp_path, term, outcome, ends, mode):
+        # the initial node has no transition: one trace, whose header is
+        # followed directly by the next section
+        path = tmp_path / "still.promise"
+        path.write_text(f"agent a b\ntype t\ntask x : t\nrun {term}\n", encoding="utf-8")
+        code, out, err = run_cli(["explore", str(path), *mode])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "nodes: 1", "edges: 0", "traces: 1", f"trace 1 ({outcome}):", f"deadlocks: {len(ends)}", *ends, "violations: 0"
+        ]
+        code, out, err = run_cli(["explore", str(path), "--format", "json", *mode])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["traces"] == [{"events": [], "outcome": outcome}]
+
 
 class TestRun:
     def test_same_seed_same_walk(self):

@@ -227,9 +227,10 @@ class TestBuildLts:
     def test_a_later_compile_ranks_the_events_again(self, strict, replay, monkeypatch):
         # a hand-made configuration stepped or replayed after a build adds
         # events to the model's engine, here ones whose texts sort among the
-        # entry's; the next build must rank again and derive its moves anew,
-        # so that it equals a build on a fresh model, the entry's tied
-        # events (pi(a, x, b) into several successors) included
+        # entry's; the next build must rank again, in place: the moves
+        # already derived hold the new ranks, and none is derived again. It
+        # must equal a build on a fresh model, the entry's tied events
+        # (pi(a, x, b) into several successors) included
         text = NONDETERMINISTIC.read_text(encoding="utf-8")
         used, fresh = (parse_scenario(text, strict_conflicts=strict) for _ in range(2))
         build_lts(used.model, Configuration(used.entry, used.initial_state))
@@ -777,8 +778,15 @@ class TestMaximalTraces:
         scenario = parse_scenario(offers(3))
         lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state))
         alive = weakref.ref(lts)
-        made = []
-        monkeypatch.setattr(explorer, "Trace", lambda *fields: made.append(fields) or Trace(*fields))
+        made = []  # every trace made: ``_listing`` makes them all, as tuples, with no call to Trace
+        listing = explorer._listing
+
+        def counted(pieces):
+            traces = listing(pieces)
+            made.extend(traces)
+            return traces
+
+        monkeypatch.setattr(explorer, "_listing", counted)
         try:
             maximal_traces(lts, max_traces=10_000)
         except LimitExceeded as exc:
@@ -838,6 +846,40 @@ class TestMaximalTraces:
             assert isinstance(verdict, Accepted)
             assert verdict.maximal
             assert verdict.outcome is trace.outcome
+
+
+def _listed(lts: Lts, cap: int, labels=None) -> tuple[list[Trace], str | None]:
+    """``maximal_traces`` under ``cap``: every trace and no message, or the
+    first ``cap + 1`` and the limit's message."""
+    try:
+        return maximal_traces(lts, max_traces=cap, labels=labels), None
+    except LimitExceeded as exc:
+        return exc.partial, str(exc)
+
+
+class TestLabels:
+    @pytest.mark.parametrize("strict", [False, True], ids=["dyadic", "strict"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            *CANONICAL_CASES,
+            *(pytest.param(f"agent a b\ntype t\ntask x : t\nrun {term}\n", id=term) for term in ("delta", "ok")),
+            *(pytest.param(random_scenario_text(seed, 1 + seed % 3), id=f"generated-{seed}") for seed in range(200)),
+        ],
+    )
+    def test_a_labelled_listing_is_the_listing_of_the_events(self, text, strict):
+        # each event id's label in place of its event: the same traces in
+        # the same order with the same outcomes, and at a cap that binds the
+        # same message and partial
+        scenario = parse_scenario(text, strict_conflicts=strict)
+        lts = build_lts(scenario.model, Configuration(scenario.entry, scenario.initial_state), node_limit=5000)
+        labels = [f"{rank}: {event}" for rank, event in enumerate(lts._events)]  # distinct, and no event
+        label = dict(zip(lts._events, labels))
+        traces, _ = _listed(lts, 20_000)
+        for cap in {20_000, max(1, len(traces) // 2)}:
+            plain, message = _listed(lts, cap)
+            expected = [Trace(tuple(map(label.__getitem__, trace.events)), trace.outcome) for trace in plain]
+            assert _listed(lts, cap, labels) == (expected, message)
 
 
 class TestAlgebraicTraceEquivalences:
