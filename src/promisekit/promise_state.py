@@ -40,8 +40,6 @@ from .task_algebra import (
     UnknownAtom,
     body_form,
     build_incompatibility,
-    incompatible,
-    is_exclusive,
     _put,
     parse_body,
     value,
@@ -133,9 +131,9 @@ BodySpec = Union[str, TaskBody]
 
 @dataclass(frozen=True)
 class PromiseModel:
-    """The static world a negotiation runs in: agents and their
-    subordination order, typed task atoms, the incompatibility closure,
-    the exclusiveness registry, and the conflict-checking mode."""
+    """The static world a negotiation runs in: agents and their subordination
+    order, typed task atoms, the incompatibility closure, the exclusiveness
+    registry of the model's own bodies, and the conflict-checking mode."""
 
     agents: tuple[Agent, ...]
     order: SubordinationOrder
@@ -212,14 +210,13 @@ class PromiseModel:
         relation = build_incompatibility(
             all_atoms, [(body(x), body(y)) for x, y in incompatible_pairs]
         )
-        registry = ExclusivenessRegistry(frozenset(body(b) for b in exclusive))
         return cls(
             agents=tuple(by_name.values()),
             order=order,
             types=all_types,
             atoms=all_atoms,
             incompatibility=relation,
-            exclusiveness=registry,
+            exclusiveness=ExclusivenessRegistry(frozenset(body(b) for b in exclusive)),
             strict_conflicts=strict_conflicts,
         )
 
@@ -233,6 +230,7 @@ class PromiseModel:
                 if form not in bodies:
                     bodies[form] = TaskBody(atom, *form[1:])
         _put(self, "_bodies", bodies)
+        _put(self, "exclusiveness", ExclusivenessRegistry(frozenset(map(self.interned, self.exclusiveness.exclusive))))
         _put(self, "_table", _Table())
         _put(self, "_events", {})
 
@@ -314,11 +312,12 @@ def _ones(bits: int) -> Iterator[int]:
 class _Table:
     """The promises met under one model, each numbered by a bit in the
     order first met, and for each bit the mask of the numbered promises
-    that clash with it (see ``clash``) under the model's mode; ``risky``
-    has the bits whose mask is not empty. A promise is found by its agents'
-    names and its body, so that no ``Promise`` or ``Agent`` is hashed. The
-    table refers to no model, which frees a model by reference counting;
-    the methods that number promises take it."""
+    that clash with it under the model's mode (see ``number_of``, which
+    ``clash`` reads); ``risky`` has the bits whose mask is not empty. A
+    promise is found by its agents' names and its body, so that no
+    ``Promise`` or ``Agent`` is hashed. The table refers to no model, which
+    frees a model by reference counting; the methods that number promises
+    take it."""
 
     __slots__ = ("promises", "masks", "risky", "_numbers", "_holders")
 
@@ -327,32 +326,36 @@ class _Table:
         self.masks: list[int] = []
         self.risky = 0
         self._numbers: dict[tuple[str, TaskBody, str], int] = {}
-        self._holders: dict[tuple[str, TaskBody], list[int]] = {}  # by promiser and body
+        self._holders: dict[tuple[str, TaskBody], int] = {}  # the bits of each promiser's body
 
     def number(self, model: PromiseModel, promise: Promise) -> int:
         """The promise's number, given at its first sight."""
         return self.number_of(model, promise.promiser, promise.body, promise.promisee)
 
     def number_of(self, model: PromiseModel, promiser: Agent, body: TaskBody, promisee: Agent) -> int:
-        """The number of ``promiser:body->promisee``. At its first sight the
-        promise is tested only against numbered promises of its promiser
-        with its body or an incompatible one."""
+        """The number of ``promiser:body->promisee``. At its first sight its
+        mask takes the bits of its promiser's holders of its body, if that is
+        exclusive, and of each incompatible body toward its promisee (toward
+        any, in strict mode): the clash rule, with no pair tested."""
         key = (promiser.name, body, promisee.name)
         number = self._numbers.get(key)
         if number is None:
-            promise = Promise(promiser, body, promisee)
             number = self._numbers[key] = len(self.promises)
-            mask = 0
-            for partner in (body, *model.incompatibility.partners.get(body, ())):
-                for other in self._holders.get((key[0], partner), ()):
-                    if clash(model, promise, self.promises[other]):
-                        mask |= 1 << other
-                        self.masks[other] |= 1 << number
+            mine = self._holders.get((key[0], body), 0)  # none goes to the promisee: the promise is new
+            mask = mine if body in model.exclusiveness.exclusive else 0
+            for partner in model.incompatibility.partners.get(body, ()):
+                if model.strict_conflicts:
+                    mask |= self._holders.get((key[0], partner), 0)
+                elif (other := self._numbers.get((key[0], partner, key[2]))) is not None:
+                    mask |= 1 << other
+            bit = 1 << number
+            for other in _ones(mask):
+                self.masks[other] |= bit
             if mask:
-                self.risky |= mask | 1 << number
-            self.promises.append(promise)
+                self.risky |= mask | bit
+            self.promises.append(Promise(promiser, body, promisee))
             self.masks.append(mask)
-            self._holders.setdefault((key[0], body), []).append(number)
+            self._holders[key[0], body] = mine | bit
         return number
 
     def state(self, bits: int) -> "State":
@@ -417,21 +420,17 @@ class NoCompliance(TransitionError):
 
 
 def clash(model: PromiseModel, p: Promise, q: Promise) -> str | None:
-    """Why one agent cannot hold both promises at once, or None.
+    """Why one agent cannot hold both promises at once, or None, read from
+    the masks of the model's table, which numbers both (see ``_Table.number_of``).
 
     ``'conflict'``: the bodies are incompatible and the promisees share the
     conflict mode's scope (the same promisee, or any promisee in strict
     mode). ``'exclusiveness'``: an exclusive body goes to two different
-    promisees. Symmetric in ``p`` and ``q``.
+    promisees; no body is incompatible with itself. Symmetric in ``p`` and ``q``.
     """
-    if p.promiser != q.promiser:
-        return None
-    if (model.strict_conflicts or p.promisee == q.promisee) and incompatible(
-        model.incompatibility, p.body, q.body
-    ):
-        return "conflict"
-    if p.body == q.body and p.promisee != q.promisee and is_exclusive(model.exclusiveness, p.body):
-        return "exclusiveness"
+    table = model._table
+    if 1 << table.number(model, q) & table.masks[table.number(model, p)]:
+        return "exclusiveness" if p.body == q.body else "conflict"
     return None
 
 

@@ -89,6 +89,26 @@ def _intro_allowed(model, promises: frozenset[Promise], candidate: Promise) -> b
     return True
 
 
+def clash_reason(model, p: Promise, q: Promise) -> str | None:
+    """Why one agent cannot hold both promises, straight off the
+    introduction premise, or None: 'conflict' for incompatible bodies
+    toward the same promisee (any promisee in strict mode), 'exclusiveness'
+    for an exclusive body toward two promisees."""
+    if p.promiser != q.promiser:
+        return None
+    in_scope = model.strict_conflicts or p.promisee == q.promisee
+    if in_scope and frozenset((p.body, q.body)) in model.incompatibility.pairs:
+        return "conflict"
+    if p.body == q.body and p.promisee != q.promisee and p.body in model.exclusiveness.exclusive:
+        return "exclusiveness"
+    return None
+
+
+def clash_masks(model, promises: list[Promise]) -> list[int]:
+    """For each promise of the list, the bits of the others that clash with it."""
+    return [sum(1 << j for j, q in enumerate(promises) if clash_reason(model, p, q)) for p in promises]
+
+
 def _moves(model, term, promises: frozenset[Promise]):
     """All (event, term', promises') transitions, straight off the rules."""
     if isinstance(term, (Done, Deadlock)):

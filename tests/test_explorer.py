@@ -58,7 +58,7 @@ from promisekit.task_algebra import GAMMA, GAMMA_ATOM, IncompatibilityRelation, 
 
 from helpers import long_negotiation, offers, run_cli
 from scenario_gen import random_scenario_text
-from sos_oracle import explorer_trace_set, oracle_traces
+from sos_oracle import clash_masks, explorer_trace_set, oracle_traces
 
 ROOT = Path(__file__).resolve().parent.parent
 RIDE_NODES = 48
@@ -539,19 +539,23 @@ class TestLinearSequences:
 
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("refusals", [False, True])
-    def test_clash_calls_in_an_explore_grow_linearly(self, strict, refusals, tmp_path, monkeypatch):
-        # enabledness and the invariant AND bit masks; ``clash`` is asked
-        # only when a promise is first numbered and for pairs that clash,
-        # where a scan of the held promises would ask it quadratically
-        # often. With ``refusals`` each use is followed by a refusal that
-        # its use blocks, so that every good numbers a clashing pair.
-        calls = []
+    def test_numbering_in_an_explore_grows_linearly(self, strict, refusals, tmp_path, monkeypatch):
+        # enabledness and the invariant AND bit masks, and a promise's mask
+        # is filled once, at its first sight, from the bits of its holders,
+        # with no ``clash`` call: the numbers asked for, the promises
+        # numbered and the mask bits set grow with the length, where a scan
+        # of the held promises would grow quadratically. With ``refusals``
+        # each use is followed by a refusal that its use blocks, so that
+        # every good numbers a clashing pair.
+        calls, tables = [], {}
 
-        def counting(*args, _clash=promise_state.clash):
+        def counting(table, *args, _number_of=promise_state._Table.number_of):
             calls.append(args)
-            return _clash(*args)
+            tables[id(table)] = table
+            return _number_of(table, *args)
 
-        monkeypatch.setattr(promise_state, "clash", counting)
+        monkeypatch.setattr(promise_state._Table, "number_of", counting)
+        monkeypatch.setattr(promise_state, "clash", None)
         counts = []
         for goods in (25, 50, 100):
             text, events = long_negotiation(goods)
@@ -560,11 +564,41 @@ class TestLinearSequences:
             path = tmp_path / f"negotiation{goods}.promise"
             path.write_text(text, encoding="utf-8")
             calls.clear()
+            tables.clear()
             code, out, _ = run_cli(["explore", str(path), *(["--strict-conflicts"] * strict)])
             assert code == 0 and out.splitlines()[:3] == [f"nodes: {len(events) + 1}", f"edges: {len(events)}", "traces: 1"]
-            counts.append(len(calls))
+            [table] = tables.values()
+            bits = sum(bin(mask).count("1") for mask in table.masks)
+            assert len(table.promises) == goods * (2 + refusals)
+            assert (table.risky != 0) is refusals and bits == 2 * goods * refusals
+            counts.append(len(calls) + len(table.promises) + bits)
         assert counts[1] <= 2 * counts[0] + 10 and counts[2] <= 2 * counts[1] + 10
-        assert (counts[0] > 0) is refusals
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_a_walk_of_32_offers_asks_no_clash(self, strict, tmp_path, monkeypatch):
+        # the customer's 32 exclusive acceptances clash pairwise: ``run`` and
+        # ``verify-trace`` of its walk read every clash from masks filled from
+        # the holders' bits, each equal to the oracle's pairwise mask
+        clashes, tables = [], {}
+
+        def counting(table, model, *args, _number_of=promise_state._Table.number_of):
+            tables[id(table)] = table, model
+            return _number_of(table, model, *args)
+
+        monkeypatch.setattr(promise_state._Table, "number_of", counting)
+        monkeypatch.setattr(promise_state, "clash", lambda *args: clashes.append(args))
+        path, walk = tmp_path / "offers32.promise", tmp_path / "walk.txt"
+        path.write_text(offers(32), encoding="utf-8")
+        mode = ["--strict-conflicts"] * strict
+        code, out, _ = run_cli(["run", str(path), "--seed", "7", *mode])
+        assert code == 0 and out.splitlines()[-2].startswith("outcome: ")
+        walk.write_text("".join(out.splitlines(keepends=True)[:-2]), encoding="utf-8")
+        code, out, _ = run_cli(["verify-trace", str(path), "--trace", str(walk), *mode])
+        assert code == 0 and out.splitlines()[0] == "accepted" and "maximal: yes" in out.splitlines()
+        assert clashes == [] and len(tables) == 2
+        for table, model in tables.values():
+            assert max(bin(mask).count("1") for mask in table.masks) > 31
+            assert table.masks == clash_masks(model, table.promises)
 
     def test_a_long_build_and_invariant_check_hash_no_promise(self, monkeypatch):
         # states are ints of bits and promises are found by their agents'

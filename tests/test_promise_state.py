@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from promisekit import promise_state
+from promisekit.dsl import ValidationError, parse_scenario
+from promisekit.explorer import Configuration, build_lts
 from promisekit.promise_state import (
     Agent,
     EMPTY_STATE,
@@ -31,9 +35,10 @@ from promisekit.promise_state import (
     state_clashes,
     withdraw,
 )
-from promisekit.task_algebra import GAMMA, UnknownAtom, all_bodies
+from promisekit.task_algebra import GAMMA, TaskAtom, TaskBody, TypeTag, UnknownAtom, all_bodies
 
-from sos_oracle import _intro_allowed
+from scenario_gen import random_scenario_text
+from sos_oracle import _intro_allowed, clash_masks, clash_reason
 
 
 @pytest.fixture(scope="module")
@@ -323,15 +328,9 @@ class TestOracleAgreement:
 
     @given(st.frozensets(ORACLE_PROMISES, max_size=16), st.booleans())
     def test_state_clashes_match_all_pairs(self, held, strict):
-        # the indexed lookup against every pair tested with the clash rule
+        # the masks against every pair tested with the oracle's clash rule
         model = replace(ORACLE_MODEL, strict_conflicts=strict)
-        every_pair = [
-            (reason, *sorted((p, q), key=str))
-            for p, q in combinations(held, 2)
-            if (reason := clash(model, p, q))
-        ]
-        expected = sorted(every_pair, key=lambda c: (c[0], str(c[1]), str(c[2])))
-        assert state_clashes(model, State(held)) == expected
+        assert state_clashes(model, State(held)) == _pairwise_clashes(model, held)
 
 
 class TestInternedBodies:
@@ -356,14 +355,33 @@ class TestInternedBodies:
             pending += [getattr(term, name) for name in ("left", "right", "body") if hasattr(term, name)]
         assert seen > 0
 
+    def test_the_exclusive_registry_holds_the_model_bodies(self, ride_model):
+        # from a scenario, from texts and from equal bodies made apart, and
+        # again after a replace: a lookup in the registry hits by identity
+        lift = TaskAtom("lift", TypeTag("transport"))
+        made = PromiseModel.create(
+            agents=("a", "b"),
+            types=("transport",),
+            atoms={"lift": "transport"},
+            incompatible_pairs=[("lift", "~lift")],
+            exclusive=("~lift", TaskBody(lift, negated=True), "!!~lift", GAMMA),
+        )
+        assert {str(body) for body in made.exclusiveness.exclusive} == {"~lift", "!lift", "gamma"}
+        for model in (ride_model, made, replace(made, strict_conflicts=True)):
+            assert model.exclusiveness.exclusive
+            for body in model.exclusiveness.exclusive:
+                assert body is model.body(str(body))
+
     def test_unknown_atom(self, ride_model):
         with pytest.raises(UnknownAtom, match="unknown task atom 'nosuch'"):
             ride_model.body("~nosuch")
 
 
 def _pairwise_clashes(model, held):
-    """The invariant by testing every pair with the clash rule."""
-    pairs = [(reason, *sorted((p, q), key=str)) for p, q in combinations(held, 2) if (reason := clash(model, p, q))]
+    """The invariant by testing every pair with the oracle's clash rule."""
+    pairs = [
+        (reason, *sorted((p, q), key=str)) for p, q in combinations(held, 2) if (reason := clash_reason(model, p, q))
+    ]
     return sorted(pairs, key=lambda c: (c[0], str(c[1]), str(c[2])))
 
 
@@ -384,8 +402,8 @@ class TestBitmaskDifferential:
             assert state == State(held) and hash(state) == hash(State(held))
             assert set(state) == held and len(state) == len(held) and str(state) == str(State(held))
             assert all(p in state for p in held) and (candidate in state) is (candidate in held)
-        # against the pairwise clash reference and the oracle
-        enabled = not any(clash(model, candidate, p) for p in held)
+        # against the oracle's pairwise clash rule and its introduction premise
+        enabled = not any(clash_reason(model, candidate, p) for p in held)
         assert _intro_allowed(model, held, candidate) is enabled
         assert pi_enabled(model, state, candidate) is enabled
         if enabled:
@@ -403,6 +421,7 @@ class TestBitmaskDifferential:
             for promise in order:
                 pi_enabled(model, EMPTY_STATE, promise)
             tables.append(list(model._table.promises))
+            assert model._table.masks == clash_masks(model, model._table.promises)
             held = State(frozenset(promises))
             answers.append((
                 [pi_enabled(model, State(frozenset(promises[:i])), p) for i, p in enumerate(promises)],
@@ -423,3 +442,78 @@ class TestBitmaskDifferential:
         assert state_clashes(second, state) == [("conflict", down, up)]
         assert not pi_enabled(second, withdraw(state, down), down)
         assert state == State(frozenset({up, down})) and withdraw(state, up) == State(frozenset({down}))
+
+
+ORACLE_HEADER = """agent a b c
+type t
+type u
+task x : t
+task y : t
+task z : u
+incompatible x # y
+exclusive ~x
+exclusive !y
+exclusive z
+"""
+ORACLE_AND_COMPLIANCE_PROMISES = st.one_of(
+    ORACLE_PROMISES,
+    st.builds(Promise, st.sampled_from(ORACLE_MODEL.agents), st.just(GAMMA), st.sampled_from(ORACLE_MODEL.agents)),
+)
+
+
+def _with_init(promises):
+    """The oracle model's scenario, with the promises as its init line."""
+    init = ", ".join(f"pi({p.promiser}, {p.body}, {p.promisee})" for p in promises)
+    return ORACLE_HEADER + (f"init {init}\n" if init else "") + "run delta\n"
+
+
+class TestClashReadsTheMasks:
+    """``clash`` reads the masks that numbering fills; the oracle's
+    pairwise rule is the judge of every pair and every mask."""
+
+    @given(
+        st.lists(ORACLE_AND_COMPLIANCE_PROMISES, max_size=6),
+        st.lists(ORACLE_AND_COMPLIANCE_PROMISES, min_size=1, max_size=10),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_every_pair_matches_the_oracle(self, init, promises, strict, reverse):
+        # the parser numbers an init line's promises first, through the
+        # introduction rule, and names the first clash of an invalid one;
+        # ``clash`` then meets the rest first, in list order or reversed
+        model, held = replace(ORACLE_MODEL, strict_conflicts=strict), []
+        for promise in init:
+            if found := sorted((reason, str(q)) for q in held if (reason := clash_reason(model, promise, q))):
+                first = f"cannot introduce {promise}: {found[0][0]} with {found[0][1]}"
+                with pytest.raises(ValidationError, match=re.escape(first)):
+                    parse_scenario(_with_init(init), strict_conflicts=strict)
+                break
+            held.append(promise)
+        model = parse_scenario(_with_init(held), strict_conflicts=strict).model
+        assert model == replace(ORACLE_MODEL, strict_conflicts=strict)
+        assert model._table.promises == list(dict.fromkeys(held))
+        order = promises[::-1] if reverse else promises
+        for p in order:
+            for q in order:
+                assert clash(model, p, q) == clash_reason(model, p, q)
+        table = model._table
+        assert table.masks == clash_masks(model, table.promises)
+        assert table.risky == sum(1 << number for number, mask in enumerate(table.masks) if mask)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_generated_models_number_without_clash(self, strict, monkeypatch):
+        # generated models, numbered by a build in its order, and on a
+        # second parse in the reverse order, make no ``clash`` call
+        risky = 0
+        for seed in range(20):
+            text = random_scenario_text(seed, parts=1 + seed % 3)
+            built, fresh = (parse_scenario(text, strict_conflicts=strict) for _ in range(2))
+            with monkeypatch.context() as patch:
+                patch.setattr(promise_state, "clash", None)
+                build_lts(built.model, Configuration(built.entry, built.initial_state), node_limit=5000)
+                for promise in reversed(built.model._table.promises):
+                    fresh.model._table.number(fresh.model, promise)
+            for model in (built.model, fresh.model):
+                assert model._table.masks == clash_masks(model, model._table.promises)
+            risky += built.model._table.risky != 0
+        assert risky >= 5
